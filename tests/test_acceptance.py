@@ -4,11 +4,13 @@ Each test prints a single pass/fail line (run pytest with -s to see
 them all) and enforces its runtime budget with a wall-clock check.
 """
 
+import json
 import random
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from resposet import (
     ResiduatedStructure,
@@ -226,3 +228,24 @@ class TestAcceptance:
 
 def _pair(ip):
     return ip.poset, ip.involution
+
+
+# Byte-equal tables of constructions that the criteria above do not pin:
+# Theorem 2 with n = 3, Theorem 3 with a middle chain, Theorem 1 reusing
+# the input's own 4-chain frame.
+TWO_CHAIN = {"elements": ["u", "v"], "covers": [["u", "v"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["extend", "thm2", "-i", "builtin:n5", "--n", "3"], "pentagon11_tables.txt"),
+        (["extend", "thm3", "-i", "twochain.json", "--n", "2", "--k", "1"], "twochain9_tables.txt"),
+        (["extend", "thm1", "-i", "builtin:kleene6", "--mode", "reusefour"], "kleene6_tables.txt"),
+    ],
+)
+def test_construction_tables_match_golden(argv, golden, tmp_path):
+    (tmp_path / "twochain.json").write_text(json.dumps(TWO_CHAIN))
+    argv = [str(tmp_path / a) if a == "twochain.json" else a for a in argv]
+    got = run_cli(argv + ["--format", "text"], tmp_path, golden)
+    assert got == (GOLDENS / golden).read_bytes()
