@@ -50,7 +50,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"(exit code {code}: unsatisfiable)")
 
     print()
-    print("$ resposet export-dot -i pentagon7.json   (first lines)")
-    code, out = cli("export-dot", "-i", str(path))
+    print("$ resposet show -i pentagon7.json --format dot   (first lines)")
+    code, out = cli("show", "-i", str(path), "--format", "dot")
     print("\n".join(out.splitlines()[:6]))
     print("  ...")

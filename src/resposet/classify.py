@@ -3,10 +3,18 @@ Boolean-algebra recognition."""
 
 from dataclasses import dataclass
 
-from .errors import InvalidInvolution, NotALattice
-from .involution import Involution, check_antitone_involution, involution_from_mapping
+import numpy as np
+
+from .errors import InvalidInvolution, InvariantViolation, NotALattice
+from .involution import (
+    Involution,
+    _image_indices,
+    check_antitone_involution,
+    involution_from_mapping,
+)
 from .order import Poset
-from .report import VerificationReport, failed, passed
+from .report import VerificationReport
+from .residuation import _verdict
 
 
 @dataclass(frozen=True)
@@ -38,13 +46,13 @@ def is_distributive(L: Poset):
     """
     if not L.is_lattice():
         raise NotALattice("distributivity is only defined for lattices")
-    for x in L.elements:
-        for y in L.elements:
-            for z in L.elements:
-                lhs = L.meet(x, L.join(y, z))
-                rhs = L.join(L.meet(x, y), L.meet(x, z))
-                if lhs != rhs:
-                    return False, (x, y, z)
+    meet, join = L._meet_table, L._join_table
+    for x in range(len(L)):
+        # [y, z]: x ^ (y v z)  vs  (x ^ y) v (x ^ z)
+        bad = meet[x, join] != join[meet[x][:, None], meet[x][None, :]]
+        if bad.any():
+            y, z = np.argwhere(bad)[0]
+            return False, (L.elements[x], L.elements[y], L.elements[z])
     return True, None
 
 
@@ -61,32 +69,19 @@ def check_pseudo_kleene(L: Poset, inv) -> KleeneVerdict:
     if not check_antitone_involution(L, inv).overall:
         raise InvalidInvolution("the given map is not an antitone involution")
 
-    checks = []
-    witness = None
-    for x in L.elements:
-        for y in L.elements:
-            if not L.leq(L.meet(x, inv(x)), L.join(y, inv(y))):
-                witness = (x, y)
-                break
-        if witness:
-            break
-    checks.append(passed("kleene-bound") if witness is None else failed("kleene-bound", witness))
-
-    witness = None
-    for x in L.elements:
-        for y in L.elements:
-            lhs = L.meet(x, L.join(inv(x), y))
-            rhs = L.join(L.meet(x, inv(x)), L.meet(x, y))
-            if lhs != rhs:
-                witness = (x, y)
-                break
-        if witness:
-            break
-    checks.append(
-        passed("kleene-absorption") if witness is None else failed("kleene-absorption", witness)
+    meet, join = L._meet_table, L._join_table
+    neg = _image_indices(L, inv)
+    xs = np.arange(len(L))
+    low, high = meet[xs, neg], join[xs, neg]  # x ^ x', x v x'
+    # [x, y]-indexed violations of each identity
+    bound = ~L.leq_matrix[low[:, None], high[None, :]]
+    absorption = meet[xs[:, None], join[neg, :]] != join[low[:, None], meet]
+    report = VerificationReport(
+        (
+            _verdict("kleene-bound", bound, L.elements),
+            _verdict("kleene-absorption", absorption, L.elements),
+        )
     )
-
-    report = VerificationReport(tuple(checks))
     distributive = is_distributive(L)[0]
     pseudo = report.overall
     return KleeneVerdict(report, distributive, pseudo, pseudo and distributive)
@@ -105,17 +100,17 @@ def recognize_boolean(L: Poset):
         return None
     if not is_distributive(L)[0]:
         return None
-    mapping = {}
-    for x in L.elements:
-        comp = [
-            y
-            for y in L.elements
-            if L.meet(x, y) == bottom and L.join(x, y) == top
-        ]
-        if not comp:
-            return None
-        assert len(comp) == 1  # unique by distributivity
-        mapping[x] = comp[0]
-    complement = involution_from_mapping(L, mapping)
-    assert check_antitone_involution(L, complement).overall
+    complements = (L._meet_table == L.index(bottom)) & (L._join_table == L.index(top))
+    count = complements.sum(axis=1)
+    if (count == 0).any():
+        return None
+    if (count > 1).any():
+        x = L.elements[int(np.argmax(count > 1))]
+        raise InvariantViolation(f"{x!r} has several complements in a distributive lattice")
+    els = L.elements
+    complement = involution_from_mapping(
+        L, {x: els[j] for x, j in zip(els, complements.argmax(axis=1))}
+    )
+    if not check_antitone_involution(L, complement).overall:
+        raise InvariantViolation("the complement map is not an antitone involution")
     return BooleanAlgebra(L, bottom, top, complement)

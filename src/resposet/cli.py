@@ -6,6 +6,7 @@ usage error.
 """
 
 import argparse
+import io
 import json
 import sys
 
@@ -13,6 +14,7 @@ from . import files
 from .classify import check_pseudo_kleene, is_distributive, recognize_boolean
 from .constructions import (
     ExtensionMode,
+    ExtensionResult,
     boolean_residuation,
     chain_residuation,
     extend_boolean_theorem5,
@@ -53,17 +55,18 @@ def _load(path, full_order=False) -> files.Bundle:
         return files.load_structure(fh, full_order=full_order)
 
 
-def _out(args):
-    if getattr(args, "output", None) and args.output != "-":
-        return open(args.output, "w", encoding="utf-8")
-    return sys.stdout
-
-
 def _emit(args, text):
-    out = _out(args)
-    out.write(text)
-    if out is not sys.stdout:
-        out.close()
+    if getattr(args, "output", None) and args.output != "-":
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _json(doc) -> str:
+    buf = io.StringIO()
+    files.dump(doc, buf)
+    return buf.getvalue()
 
 
 def _need_structure(bundle) -> ResiduatedStructure:
@@ -108,13 +111,8 @@ def cmd_involutions(args):
 def _emit_result(args, result):
     fmt = args.format
     if fmt == "json":
-        doc = files.structure_to_doc(
-            result.structure, result.involution, result.provenance
-        )
-        out = _out(args)
-        files.dump(doc, out)
-        if out is not sys.stdout:
-            out.close()
+        doc = files.structure_to_doc(result.structure, result.involution, result.provenance)
+        _emit(args, _json(doc))
     elif fmt in ("text", "csv"):
         _emit(args, render_tables(result.structure, fmt))
     elif fmt == "dot":
@@ -141,23 +139,14 @@ def cmd_extend(args):
         if B is None:
             raise StructureError("input poset is not a Boolean algebra")
         if args.theorem == "lemma2":
-            s = boolean_residuation(B)
-            if args.format == "json":
-                doc = files.structure_to_doc(
-                    s, B.complement, {"construction": "lemma2", "parameters": {}}
-                )
-                out = _out(args)
-                files.dump(doc, out)
-                if out is not sys.stdout:
-                    out.close()
-            elif args.format in ("text", "csv"):
-                _emit(args, render_tables(s, args.format))
-            elif args.format == "dot":
-                _emit(args, export_dot(s.poset, B.complement))
-            else:
-                raise StructureError(f"unknown format {args.format!r}")
-            return 0
-        result = extend_boolean_theorem5(B, args.n)
+            result = ExtensionResult(
+                boolean_residuation(B),
+                B.complement,
+                {x: x for x in B.elements},
+                {"construction": "lemma2", "parameters": {}},
+            )
+        else:
+            result = extend_boolean_theorem5(B, args.n)
     else:
         raise StructureError(f"unknown construction {args.theorem!r}")
     return _emit_result(args, result)
@@ -235,19 +224,10 @@ def cmd_show(args):
             doc = files.involuted_to_doc(InvolutedPoset(bundle.poset, bundle.involution))
         else:
             doc = files.poset_to_doc(bundle.poset)
-        out = _out(args)
-        files.dump(doc, out)
-        if out is not sys.stdout:
-            out.close()
+        _emit(args, _json(doc))
         return 0
     s = _need_structure(bundle)
     _emit(args, render_tables(s, args.format))
-    return 0
-
-
-def cmd_export_dot(args):
-    bundle = _load(args.input, args.full_order)
-    _emit(args, export_dot(bundle.poset, bundle.involution))
     return 0
 
 
@@ -320,10 +300,6 @@ def build_parser():
     common(p)
     p.add_argument("--format", choices=["text", "csv", "json", "dot"], default="text")
     p.set_defaults(func=cmd_show)
-
-    p = sub.add_parser("export-dot", help="Hasse diagram as DOT")
-    common(p)
-    p.set_defaults(func=cmd_export_dot)
 
     p = sub.add_parser("diff", help="relabeling-aware structural comparison")
     p.add_argument("first")

@@ -1,25 +1,32 @@
 """Extensions of involuted posets to residuated structures.
 
-Each construction adjoins chain elements below/above (or inside) the
-input, defines both operation tables case by case, and verifies the
-result exhaustively before returning it.  Adjoined elements are named
-"#c1", "#c2", ... (the "#" prefix is reserved for generated labels);
-dual-pair elements are named "(x,1)" / "(x,2)".
+Every carrier is an ordinal sum of generated chain elements #c1 < #c2 <
+... (the "#" prefix is reserved for them) around one copy of the input,
+or around a copy "(x,1)" and its dual "(x,2)".  Its involution maps #ci
+<-> #c(m+1-i), with #cm the top, and acts on one copy as the input's
+involution, on two copies as (x,1) <-> (x,2).
+
+Both tables then follow from one of two rules, as index arrays:
+
+- chain frame (Theorems 1-3, Corollary 1), on 0 < low <= P <= low' < 1:
+  x . y = 0 if x <= y' else low;  x -> y = 1 if x <= y else low';
+  0 and 1 act as zero and unit, and x -> 0 = x'.
+- lattice (Lemma 2, Theorem 5):
+  x . y = 0 if x <= y' else x ^ y;  x -> y = 1 if x <= y else x' v y.
+
+Each result is verified exhaustively before it is returned.
 """
 
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .classify import BooleanAlgebra
-from .errors import ConstructionFailed, ModeUnsatisfiable, NTooSmall
-from .involution import Involution, InvolutedPoset, involuted, involution_from_mapping
-from .order import Poset, poset_from_relation
-from .residuation import (
-    ResiduatedStructure,
-    derived_negation,
-    structure_from_tables,
-    verify_residuated,
-)
+from .errors import ConstructionFailed, ModeUnsatisfiable, NTooSmall, ReservedLabel
+from .involution import Involution, InvolutedPoset, _image_indices, involuted
+from .order import Poset
+from .residuation import ResiduatedStructure, derived_negation, verify_residuated
 
 
 class ExtensionMode(enum.Enum):
@@ -42,56 +49,85 @@ class ExtensionResult:
         return self.structure.poset
 
 
-def _c(i):
-    return f"#c{i}"
+def _carrier(construction, p: Poset, involution, gaps):
+    """The ordinal sum, and its involution as an index array.
 
-
-def _strict_pairs(p: Poset):
-    return [
-        (x, y)
-        for x in p.elements
-        for y in p.elements
-        if x != y and p.leq(x, y)
-    ]
-
-
-def _theorem1_tables(q: Poset, inv, zero, one, fill_low, fill_high):
-    """Uniform case tables: boundary rows for zero/one, two-valued interior.
-
-    fill_low/fill_high are the constants returned by the interior cases of
-    the monoid operation and the residual, respectively.
+    ``gaps`` lists the numbers i of the chain elements #ci in each gap,
+    bottom-up: gaps[0] < p < gaps[1] when p keeps ``involution``, and
+    gaps[0] < p x {1} < gaps[1] < dual(p) x {2} < gaps[2] when it is None.
     """
-    odot, arrow = {}, {}
-    for x in q.elements:
-        odot[x], arrow[x] = {}, {}
-        for y in q.elements:
-            if x == zero or y == zero:
-                odot[x][y] = zero
-            elif x == one:
-                odot[x][y] = y
-            elif y == one:
-                odot[x][y] = x
-            else:
-                odot[x][y] = zero if q.leq(x, inv(y)) else fill_low
-            if x == zero or y == one:
-                arrow[x][y] = one
-            elif y == zero:
-                arrow[x][y] = inv(x)
-            elif x == one:
-                arrow[x][y] = y
-            else:
-                arrow[x][y] = one if q.leq(x, y) else fill_high
+    m = max(i for gap in gaps for i in gap)
+    mapping = {f"#c{i}": f"#c{m + 1 - i}" for gap in gaps for i in gap}
+    if involution is None:
+        tagged = ((1, p.leq_matrix), (2, p.leq_matrix.T))
+        copies = [([f"({x},{t})" for x in p.elements], leq) for t, leq in tagged]
+        mapping.update({f"({x},{t})": f"({x},{3 - t})" for x in p.elements for t in (1, 2)})
+    else:
+        clash = next((x for x in p.elements if x in mapping), None)
+        if clash is not None:
+            raise ReservedLabel(f"{construction}: input label {clash!r} is reserved for the chain")
+        copies = [(p.elements, p.leq_matrix)]
+        mapping.update(involution.pairs)
+
+    def chain(gap):
+        return [f"#c{i}" for i in gap], np.triu(np.ones((len(gap), len(gap)), dtype=bool))
+
+    blocks = [chain(gaps[0])]
+    for copy, gap in zip(copies, gaps[1:]):
+        blocks += [copy, chain(gap)]
+    elements = tuple(x for labels, _ in blocks for x in labels)
+    leq = np.zeros((len(elements), len(elements)), dtype=bool)
+    start = 0
+    for labels, block in blocks:
+        end = start + len(labels)
+        leq[start:end, start:end] = block
+        leq[start:end, end:] = True  # every later block lies above this one
+        start = end
+    position = {x: k for k, x in enumerate(elements)}
+    return Poset(elements, leq), np.array([position[mapping[x]] for x in elements])
+
+
+def _theorem2_carrier(name, p: Poset, involution, n):
+    """The Theorem-2 carrier #c1 < .. < #cn < p < #c{n+1} < .. < #c{2n}."""
+    return _carrier(name, p, involution, (range(1, n + 1), range(n + 1, 2 * n + 1)))
+
+
+def _frame_tables(q: Poset, inv, low):
+    """The chain-frame rule on 0 < low <= P <= low' < 1."""
+    leq = q.leq_matrix
+    zero, one = map(q.index, q.bounds())
+    ident = np.arange(len(q))
+    odot = np.where(leq[:, inv], zero, low)
+    arrow = np.where(leq, one, inv[low])
+    odot[one, :] = odot[:, one] = ident
+    odot[zero, :] = odot[:, zero] = zero
+    arrow[one, :] = ident
+    arrow[:, zero] = inv
+    arrow[zero, :] = arrow[:, one] = one
     return odot, arrow
 
 
-def _finalize(result: ExtensionResult, verify: bool) -> ExtensionResult:
+def _lattice_tables(q: Poset, inv):
+    """The lattice rule: meet off the zero cells, x' v y off the unit cells."""
+    leq = q.leq_matrix
+    zero, one = map(q.index, q.bounds())
+    odot = np.where(leq[:, inv], zero, q._meet_table)
+    arrow = np.where(leq, one, q._join_table[inv, :])
+    return odot, arrow
+
+
+def _extension(construction, q, inv, tables, embedding, parameters, verify):
+    involution = Involution(tuple(zip(q.elements, (q.elements[j] for j in inv))))
+    involuted(q, involution)  # the carrier map must still be an antitone involution
+    structure = ResiduatedStructure(q, q.bounds()[1], *tables)
     if verify:
-        report = verify_residuated(result.structure)
+        report = verify_residuated(structure)
         if not report.overall:
             raise ConstructionFailed(f"verification failed:\n{report}")
-        if derived_negation(result.structure) != result.involution.mapping:
+        if derived_negation(structure) != involution.mapping:
             raise ConstructionFailed("derived negation differs from the involution")
-    return result
+    provenance = {"construction": construction, "parameters": parameters}
+    return ExtensionResult(structure, involution, embedding, provenance)
 
 
 def extend_theorem1(ip: InvolutedPoset, mode=ExtensionMode.ADD_FOUR, verify=True) -> ExtensionResult:
@@ -102,52 +138,24 @@ def extend_theorem1(ip: InvolutedPoset, mode=ExtensionMode.ADD_FOUR, verify=True
     requires elements a < b <= x <= c < d with a' = d and b' = c already
     present and adjoins nothing.
     """
-    p, inv = ip.poset, ip.involution
+    p = ip.poset
     if mode is ExtensionMode.ADD_FOUR:
-        zero, low, high, one = _c(1), _c(2), _c(3), _c(4)
-        elements = (zero, low) + p.elements + (high, one)
-        pairs = _strict_pairs(p)
-        pairs += [(zero, low), (low, high), (high, one)]
-        pairs += [(low, x) for x in p.elements]
-        pairs += [(x, high) for x in p.elements]
-        q = poset_from_relation(elements, pairs)
-        mapping = dict(inv.pairs)
-        mapping.update({zero: one, one: zero, low: high, high: low})
-        embedding = {x: x for x in p.elements}
+        q, inv = _theorem2_carrier("theorem1", p, ip.involution, 2)
+        low = 1
     elif mode is ExtensionMode.REUSE_BOUNDS:
         bottom, top = p.bounds()
         if bottom is None or top is None:
             raise ModeUnsatisfiable("reuse-bounds needs a bounded input poset")
-        zero, one = _c(1), _c(4)
-        low, high = bottom, top
-        elements = (zero,) + p.elements + (one,)
-        pairs = _strict_pairs(p)
-        pairs += [(zero, x) for x in p.elements] + [(x, one) for x in p.elements]
-        pairs += [(zero, one)]
-        q = poset_from_relation(elements, pairs)
-        mapping = dict(inv.pairs)
-        mapping.update({zero: one, one: zero})
-        embedding = {x: x for x in p.elements}
+        q, inv = _carrier("theorem1", p, ip.involution, ((1,), (4,)))
+        low = 1 + p.index(bottom)
     elif mode is ExtensionMode.REUSE_FOUR:
-        zero, low, high, one = _reuse_four_frame(ip)
-        q = p
-        mapping = dict(inv.pairs)
-        embedding = {x: x for x in p.elements}
+        q, inv = p, _image_indices(p, ip.involution)
+        low = p.index(_reuse_four_frame(ip)[1])
     else:
         raise ModeUnsatisfiable(f"unknown mode {mode!r}")
-
-    ext_inv = involution_from_mapping(q, mapping)
-    # sanity: the extension is still an antitone involution
-    involuted(q, ext_inv)
-    odot, arrow = _theorem1_tables(q, ext_inv, zero, one, low, high)
-    structure = structure_from_tables(q, one, odot, arrow)
-    result = ExtensionResult(
-        structure,
-        ext_inv,
-        embedding,
-        provenance={"construction": "theorem1", "parameters": {"mode": mode.value}},
-    )
-    return _finalize(result, verify)
+    tables = _frame_tables(q, inv, low)
+    identity = {x: x for x in p.elements}
+    return _extension("theorem1", q, inv, tables, identity, {"mode": mode.value}, verify)
 
 
 def _reuse_four_frame(ip: InvolutedPoset):
@@ -172,113 +180,18 @@ def chain_residuation(n: int, verify=True) -> ExtensionResult:
     """The n-element residuated chain #c1 < ... < #cn (n >= 3)."""
     if n < 3:
         raise NTooSmall(f"chain construction needs n >= 3, got {n}")
-    labels = [_c(i) for i in range(1, n + 1)]
-    q = poset_from_relation(labels, list(zip(labels, labels[1:])))
-    mapping = {_c(i): _c(n + 1 - i) for i in range(1, n + 1)}
-    inv = involution_from_mapping(q, mapping)
-    zero, one = labels[0], labels[-1]
-    odot, arrow = {}, {}
-    for i in range(1, n + 1):
-        x = _c(i)
-        odot[x], arrow[x] = {}, {}
-        for j in range(1, n + 1):
-            y = _c(j)
-            if i == 1 or j == 1:
-                odot[x][y] = zero
-            elif i == n:
-                odot[x][y] = y
-            elif j == n:
-                odot[x][y] = x
-            else:
-                odot[x][y] = zero if i + j <= n + 1 else _c(2)
-            if i == 1 or j == n:
-                arrow[x][y] = one
-            elif j == 1:
-                arrow[x][y] = _c(n + 1 - i)
-            elif i == n:
-                arrow[x][y] = y
-            else:
-                arrow[x][y] = one if i <= j else _c(n - 1)
-    structure = structure_from_tables(q, one, odot, arrow)
-    result = ExtensionResult(
-        structure,
-        inv,
-        {},
-        provenance={"construction": "corollary1", "parameters": {"n": n}},
-    )
-    return _finalize(result, verify)
+    empty = Poset((), np.zeros((0, 0), dtype=bool))
+    q, inv = _carrier("corollary1", empty, Involution(()), (range(1, n + 1), ()))
+    return _extension("corollary1", q, inv, _frame_tables(q, inv, 1), {}, {"n": n}, verify)
 
 
 def extend_theorem2(ip: InvolutedPoset, n: int, verify=True) -> ExtensionResult:
     """Extend by a 2n-chain: #c1 < .. < #cn < x < #c{n+1} < .. < #c{2n} (n > 1)."""
     if n <= 1:
         raise NTooSmall(f"theorem-2 extension needs n > 1, got {n}")
-    p, inv = ip.poset, ip.involution
-    low_chain = [_c(i) for i in range(1, n + 1)]
-    high_chain = [_c(i) for i in range(n + 1, 2 * n + 1)]
-    elements = tuple(low_chain) + p.elements + tuple(high_chain)
-    pairs = _strict_pairs(p)
-    chain = low_chain + high_chain
-    pairs += list(zip(chain, chain[1:]))
-    pairs += [(low_chain[-1], x) for x in p.elements]
-    pairs += [(x, high_chain[0]) for x in p.elements]
-    q = poset_from_relation(elements, pairs)
-    mapping = dict(inv.pairs)
-    mapping.update({_c(i): _c(2 * n + 1 - i) for i in range(1, 2 * n + 1)})
-    ext_inv = involution_from_mapping(q, mapping)
-    involuted(q, ext_inv)
-
-    zero, one = _c(1), _c(2 * n)
-    fill_high = _c(2 * n - 1)
-    cidx = {_c(i): i for i in range(1, 2 * n + 1)}
-
-    odot, arrow = {}, {}
-    for x in q.elements:
-        odot[x], arrow[x] = {}, {}
-        for y in q.elements:
-            i, j = cidx.get(x), cidx.get(y)
-            if x == zero or y == zero:
-                odot[x][y] = zero
-            elif x == one:
-                odot[x][y] = y
-            elif y == one:
-                odot[x][y] = x
-            elif i is None and j is None:
-                odot[x][y] = zero if p.leq(x, inv(y)) else _c(2)
-            elif i is not None and j is not None:
-                odot[x][y] = zero if i + j <= 2 * n + 1 else _c(2)
-            else:
-                # mixed cell: c_i . x = c_i . c_{n+1}
-                m = i if i is not None else j
-                odot[x][y] = zero if m + (n + 1) <= 2 * n + 1 else _c(2)
-            if x == zero or y == one:
-                arrow[x][y] = one
-            elif y == zero:
-                arrow[x][y] = ext_inv(x)
-            elif x == one:
-                arrow[x][y] = y
-            elif i is None and j is None:
-                arrow[x][y] = one if p.leq(x, y) else fill_high
-            elif i is not None and j is not None:
-                arrow[x][y] = one if i <= j else fill_high
-            elif i is not None:
-                # c_i -> x = c_i -> c_n
-                arrow[x][y] = one if i <= n else fill_high
-            else:
-                # x -> c_j = c_{n+1} -> c_j
-                arrow[x][y] = one if n + 1 <= j else fill_high
-    structure = structure_from_tables(q, one, odot, arrow)
-    result = ExtensionResult(
-        structure,
-        ext_inv,
-        {x: x for x in p.elements},
-        provenance={"construction": "theorem2", "parameters": {"n": n}},
-    )
-    return _finalize(result, verify)
-
-
-def _pair(x, tag):
-    return f"({x},{tag})"
+    q, inv = _theorem2_carrier("theorem2", ip.poset, ip.involution, n)
+    identity = {x: x for x in ip.elements}
+    return _extension("theorem2", q, inv, _frame_tables(q, inv, 1), identity, {"n": n}, verify)
 
 
 def extend_theorem3(p: Poset, n: int, k: int = 0, verify=True) -> ExtensionResult:
@@ -293,168 +206,28 @@ def extend_theorem3(p: Poset, n: int, k: int = 0, verify=True) -> ExtensionResul
         raise NTooSmall(f"theorem-3 extension needs n > 1, got {n}")
     if k < 0:
         raise NTooSmall(f"theorem-3 extension needs k >= 0, got {k}")
-    m = 2 * n + k
-    low_chain = [_c(i) for i in range(1, n + 1)]
-    mid_chain = [_c(i) for i in range(n + 1, n + k + 1)]
-    high_chain = [_c(i) for i in range(n + k + 1, m + 1)]
-    copy1 = [_pair(x, 1) for x in p.elements]
-    copy2 = [_pair(x, 2) for x in p.elements]
-    elements = tuple(low_chain + copy1 + mid_chain + copy2 + high_chain)
-
-    pairs = [(_pair(x, 1), _pair(y, 1)) for x, y in _strict_pairs(p)]
-    pairs += [(_pair(y, 2), _pair(x, 2)) for x, y in _strict_pairs(p)]
-    chain = low_chain + mid_chain + high_chain
-    pairs += list(zip(chain, chain[1:]))
-    lower_mid = mid_chain[0] if mid_chain else None
-    upper_mid = mid_chain[-1] if mid_chain else None
-    for u in copy1:
-        pairs.append((low_chain[-1], u))
-        if lower_mid:
-            pairs.append((u, lower_mid))
-    for v in copy2:
-        pairs.append((v, high_chain[0]))
-        if upper_mid:
-            pairs.append((upper_mid, v))
-    if not mid_chain:
-        pairs += [(u, v) for u in copy1 for v in copy2]
-    q = poset_from_relation(elements, pairs)
-
-    mapping = {_c(i): _c(m + 1 - i) for i in range(1, m + 1)}
-    for x in p.elements:
-        mapping[_pair(x, 1)] = _pair(x, 2)
-        mapping[_pair(x, 2)] = _pair(x, 1)
-    ext_inv = involution_from_mapping(q, mapping)
-    involuted(q, ext_inv)
-
-    zero, one = _c(1), _c(m)
-    fill_high = _c(m - 1)
-    cidx = {_c(i): i for i in range(1, m + 1)}
-    side = {}
-    for x in p.elements:
-        side[_pair(x, 1)] = (x, 1)
-        side[_pair(x, 2)] = (x, 2)
-
-    def odot_cell(u, v):
-        if u == zero or v == zero:
-            return zero
-        if u == one:
-            return v
-        if v == one:
-            return u
-        if u in side and v in side:
-            (x, i), (y, j) = side[u], side[v]
-            if (
-                (i == 1 and j == 1)
-                or (i == 1 and j == 2 and p.leq(x, y))
-                or (i == 2 and j == 1 and p.leq(y, x))
-            ):
-                return zero
-            return _c(2)
-        if u in cidx and v in cidx:
-            return zero if cidx[u] + cidx[v] <= m + 1 else _c(2)
-        # mixed: c_i . (x,1) = c_i . c_{n+1};  c_i . (x,2) = c_i . c_{n+k+1}
-        ci = cidx.get(u, cidx.get(v))
-        tag = side[u][1] if u in side else side[v][1]
-        partner = n + 1 if tag == 1 else n + k + 1
-        return zero if ci + partner <= m + 1 else _c(2)
-
-    def arrow_cell(u, v):
-        if u == zero or v == one:
-            return one
-        if v == zero:
-            return ext_inv(u)
-        if u == one:
-            return v
-        if u in side and v in side:
-            (x, i), (y, j) = side[u], side[v]
-            if (
-                (i == 1 and j == 1 and p.leq(x, y))
-                or (i == 1 and j == 2)
-                or (i == 2 and j == 2 and p.leq(y, x))
-            ):
-                return one
-            return fill_high
-        if u in cidx and v in cidx:
-            return one if cidx[u] <= cidx[v] else fill_high
-        if u in cidx:
-            # c_i -> (x,1) = c_i -> c_n;  c_i -> (x,2) = c_i -> c_{n+k}
-            bound = n if side[v][1] == 1 else n + k
-            return one if cidx[u] <= bound else fill_high
-        # (x,1) -> c_j = c_{n+1} -> c_j;  (x,2) -> c_j = c_{n+k+1} -> c_j
-        bound = n + 1 if side[u][1] == 1 else n + k + 1
-        return one if bound <= cidx[v] else fill_high
-
-    odot = {u: {v: odot_cell(u, v) for v in q.elements} for u in q.elements}
-    arrow = {u: {v: arrow_cell(u, v) for v in q.elements} for u in q.elements}
-    structure = structure_from_tables(q, one, odot, arrow)
-    result = ExtensionResult(
-        structure,
-        ext_inv,
-        {x: _pair(x, 1) for x in p.elements},
-        provenance={"construction": "theorem3", "parameters": {"n": n, "k": k}},
-    )
-    return _finalize(result, verify)
+    gaps = (range(1, n + 1), range(n + 1, n + k + 1), range(n + k + 1, 2 * n + k + 1))
+    q, inv = _carrier("theorem3", p, None, gaps)
+    embedding = {x: f"({x},1)" for x in p.elements}
+    parameters = {"n": n, "k": k}
+    return _extension("theorem3", q, inv, _frame_tables(q, inv, 1), embedding, parameters, verify)
 
 
 def boolean_residuation(B: BooleanAlgebra, verify=True) -> ResiduatedStructure:
     """The classical residuation on a Boolean algebra: x . y = meet, x -> y = x' v y."""
     p = B.lattice
-    comp = B.complement
-    odot, arrow = {}, {}
-    for x in p.elements:
-        odot[x], arrow[x] = {}, {}
-        for y in p.elements:
-            odot[x][y] = p.meet(x, y)
-            arrow[x][y] = p.join(comp(x), y)
-    structure = structure_from_tables(p, B.top, odot, arrow)
-    if verify:
-        report = verify_residuated(structure)
-        if not report.overall:
-            raise ConstructionFailed(f"verification failed:\n{report}")
-    return structure
+    inv = _image_indices(p, B.complement)
+    identity = {x: x for x in p.elements}
+    return _extension("lemma2", p, inv, _lattice_tables(p, inv), identity, {}, verify).structure
 
 
 def extend_boolean_theorem5(B: BooleanAlgebra, n: int, verify=True) -> ExtensionResult:
-    """Extend a Boolean algebra by chains of n fresh elements below and above.
-
-    One uniform rule pair over the whole carrier: x . y is 0 when
-    x <= y' and the lattice meet otherwise; x -> y is 1 when x <= y and
-    x' v y otherwise.
-    """
+    """Extend a Boolean algebra by n fresh chain elements below and above (lattice rule)."""
     if n < 1:
         raise NTooSmall(f"boolean extension needs n >= 1, got {n}")
-    p = B.lattice
-    low_chain = [_c(i) for i in range(1, n + 1)]
-    high_chain = [_c(i) for i in range(n + 1, 2 * n + 1)]
-    elements = tuple(low_chain) + p.elements + tuple(high_chain)
-    pairs = _strict_pairs(p)
-    chain = low_chain + high_chain
-    pairs += list(zip(chain, chain[1:]))
-    pairs += [(low_chain[-1], x) for x in p.elements]
-    pairs += [(x, high_chain[0]) for x in p.elements]
-    q = poset_from_relation(elements, pairs)
-
-    mapping = dict(B.complement.pairs)
-    mapping.update({_c(i): _c(2 * n + 1 - i) for i in range(1, 2 * n + 1)})
-    ext_inv = involution_from_mapping(q, mapping)
-    involuted(q, ext_inv)
-
-    zero, one = _c(1), _c(2 * n)
-    odot, arrow = {}, {}
-    for x in q.elements:
-        odot[x], arrow[x] = {}, {}
-        for y in q.elements:
-            odot[x][y] = zero if q.leq(x, ext_inv(y)) else q.meet(x, y)
-            arrow[x][y] = one if q.leq(x, y) else q.join(ext_inv(x), y)
-            assert odot[x][y] is not None and arrow[x][y] is not None
-    structure = structure_from_tables(q, one, odot, arrow)
-    result = ExtensionResult(
-        structure,
-        ext_inv,
-        {x: x for x in p.elements},
-        provenance={"construction": "theorem5", "parameters": {"n": n}},
-    )
-    return _finalize(result, verify)
+    q, inv = _theorem2_carrier("theorem5", B.lattice, B.complement, n)
+    identity = {x: x for x in B.elements}
+    return _extension("theorem5", q, inv, _lattice_tables(q, inv), identity, {"n": n}, verify)
 
 
 def structural_equal(s1: ResiduatedStructure, s2: ResiduatedStructure, fixed=None) -> bool:
@@ -495,13 +268,9 @@ def structural_equal(s1: ResiduatedStructure, s2: ResiduatedStructure, fixed=Non
         return True
 
     def tables_match():
-        for a in range(n):
-            for b in range(n):
-                if image[s1.odot[a, b]] != s2.odot[image[a], image[b]]:
-                    return False
-                if image[s1.arrow[a, b]] != s2.arrow[image[a], image[b]]:
-                    return False
-        return True
+        img = np.array(image)
+        grid = np.ix_(img, img)
+        return all((img[a] == b[grid]).all() for a, b in ((s1.odot, s2.odot), (s1.arrow, s2.arrow)))
 
     def backtrack(i):
         if i == n:

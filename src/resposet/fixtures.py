@@ -3,6 +3,7 @@
 from itertools import combinations
 
 from .classify import recognize_boolean
+from .errors import InvariantViolation
 from .involution import involuted
 from .order import Poset, chain_poset, poset_from_covers
 
@@ -119,7 +120,8 @@ def powerset_lattice(num_atoms: int) -> Poset:
 def cube_boolean(num_atoms: int):
     """The 2**num_atoms-element Boolean algebra, recognized from the lattice."""
     B = recognize_boolean(powerset_lattice(num_atoms))
-    assert B is not None
+    if B is None:
+        raise InvariantViolation(f"the {2 ** num_atoms}-element powerset lattice is not Boolean")
     return B
 
 
@@ -147,7 +149,8 @@ def letter_cube_boolean():
         ],
     )
     B = recognize_boolean(p)
-    assert B is not None
+    if B is None:
+        raise InvariantViolation("the letter cube is not a Boolean algebra")
     return B
 
 

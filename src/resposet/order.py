@@ -2,11 +2,12 @@
 
 A poset is stored as an ordered tuple of labels plus a dense boolean
 ``leq`` matrix (row i, column j set iff element i is below element j).
-All structures handled here are tiny (a few dozen elements at most), so
-dense matrices and exhaustive pair/triple scans are the right tool.
+Carriers stay small (constructions reach a few hundred elements), so
+dense matrices and vectorised pair/triple scans are the right tool.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,15 +84,25 @@ class Poset:
             for i, j in np.argwhere(red)
         ]
 
+    @cached_property
+    def _meet_table(self) -> np.ndarray:
+        """meet[i, j]: index of the greatest lower bound, -1 where there is none."""
+        return _frozen(_greatest_lower_bounds(self.leq_matrix))
+
+    @cached_property
+    def _join_table(self) -> np.ndarray:
+        """join[i, j]: index of the least upper bound, -1 where there is none."""
+        return _frozen(_greatest_lower_bounds(self.leq_matrix.T))
+
     def meet(self, x: Label, y: Label):
         """Greatest lower bound of x and y, or None when it does not exist."""
-        i, j = self.index(x), self.index(y)
-        return self._extreme(self.leq_matrix[:, i] & self.leq_matrix[:, j], upper=True)
+        k = self._meet_table[self.index(x), self.index(y)]
+        return None if k < 0 else self.elements[k]
 
     def join(self, x: Label, y: Label):
         """Least upper bound of x and y, or None when it does not exist."""
-        i, j = self.index(x), self.index(y)
-        return self._extreme(self.leq_matrix[i, :] & self.leq_matrix[j, :], upper=False)
+        k = self._join_table[self.index(x), self.index(y)]
+        return None if k < 0 else self.elements[k]
 
     def _extreme(self, mask: np.ndarray, upper: bool):
         # greatest (upper=True) or least (upper=False) element of the masked set
@@ -103,12 +114,7 @@ class Poset:
         return None
 
     def is_lattice(self) -> bool:
-        els = self.elements
-        for x in els:
-            for y in els:
-                if self.meet(x, y) is None or self.join(x, y) is None:
-                    return False
-        return True
+        return bool((self._meet_table >= 0).all() and (self._join_table >= 0).all())
 
     def is_chain(self) -> bool:
         return bool((self.leq_matrix | self.leq_matrix.T).all())
@@ -135,6 +141,17 @@ class Poset:
     def upset(self, x: Label) -> list:
         i = self.index(x)
         return [self.elements[j] for j in np.nonzero(self.leq_matrix[i, :])[0]]
+
+
+def _greatest_lower_bounds(leq: np.ndarray) -> np.ndarray:
+    # g is the meet of i and j iff g <= i, g <= j and g has as many
+    # elements below it as i and j have common lower bounds.
+    common = leq.T.astype(np.int64) @ leq.astype(np.int64)
+    below = leq.sum(axis=0)
+    table = np.full(leq.shape, -1, dtype=np.int64)
+    for g in range(len(leq)):
+        table[np.outer(leq[g], leq[g]) & (common == below[g])] = g
+    return table
 
 
 def _check_labels(elements) -> tuple:

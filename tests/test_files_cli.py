@@ -224,13 +224,21 @@ class TestCli:
     def test_extend_thm5_rejects_non_boolean(self, capsys):
         assert main(["extend", "thm5", "-i", "builtin:n5", "--n", "1"]) == 2
 
+    def test_extend_rejects_input_holding_a_generated_label(self, tmp_path, capsys):
+        doc = {"elements": ["#c2", "a"], "covers": [], "involution": {"#c2": "#c2", "a": "a"}}
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps(doc))
+        assert main(["extend", "thm1", "-i", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "theorem1: input label '#c2' is reserved" in err
+
     def test_show_text_and_dot(self, n5_file, tmp_path, capsys):
         out = tmp_path / "s.json"
         main(["extend", "thm1", "-i", n5_file, "-o", str(out)])
         assert main(["show", "-i", str(out), "--format", "text"]) == 0
         text = capsys.readouterr().out
         assert "⊙" in text and "→" in text
-        assert main(["export-dot", "-i", str(out)]) == 0
+        assert main(["show", "-i", str(out), "--format", "dot"]) == 0
         dot = capsys.readouterr().out
         assert dot.startswith("digraph") and "dashed" in dot
 
