@@ -2,28 +2,18 @@
 
 Posets are generated by inserting elements in linear-extension order
 (each new element is maximal at insertion time and picks a down-closed
-lower set), then deduplicated by a canonical form over all relabelings.
-This reaches every isomorphism class; the counts for n = 1..5 are
-1, 2, 5, 16, 63.
+lower set), which reaches every isomorphism class.  Duplicates are then
+removed in generation order: each poset is bucketed by its sorted
+multiset of (down-set size, up-set size) profiles and kept only when no
+earlier representative in its bucket is isomorphic to it, by the order
+isomorphism search in order._isomorphisms.  The counts for n = 1..7 are
+1, 2, 5, 16, 63, 318, 2045 (OEIS A000112).
 """
-
-from itertools import permutations
 
 import numpy as np
 
 from .involution import enumerate_antitone_involutions
-from .order import Poset
-
-
-def _canonical(leq: np.ndarray) -> bytes:
-    n = leq.shape[0]
-    best = None
-    for perm in permutations(range(n)):
-        p = list(perm)
-        key = leq[np.ix_(p, p)].tobytes()
-        if best is None or key < best:
-            best = key
-    return best
+from .order import Poset, _isomorphisms
 
 
 def posets_of_size(n: int):
@@ -54,13 +44,16 @@ def posets_of_size(n: int):
                 new[:k, k] = lower
                 grown.append(new)
         partial = grown
-    seen = {}
     labels = tuple(f"e{i}" for i in range(1, n + 1))
+    buckets = {}
+    kept = []
     for leq in partial:
-        key = _canonical(leq)
-        if key not in seen:
-            seen[key] = Poset(labels, leq)
-    return list(seen.values())
+        profiles = sorted(zip(leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist()))
+        bucket = buckets.setdefault(tuple(profiles), [])
+        if not any(next(_isomorphisms(rep, leq), None) is not None for rep in bucket):
+            bucket.append(leq)
+            kept.append(Poset(labels, leq))
+    return kept
 
 
 def posets_up_to_size(n: int):

@@ -25,7 +25,7 @@ import numpy as np
 from .classify import BooleanAlgebra
 from .errors import ConstructionFailed, ModeUnsatisfiable, NTooSmall, ReservedLabel
 from .involution import Involution, InvolutedPoset, _image_indices, involuted
-from .order import Poset
+from .order import Poset, _isomorphisms
 from .residuation import ResiduatedStructure, derived_negation, verify_residuated
 
 
@@ -233,68 +233,15 @@ def extend_boolean_theorem5(B: BooleanAlgebra, n: int, verify=True) -> Extension
 def structural_equal(s1: ResiduatedStructure, s2: ResiduatedStructure, fixed=None) -> bool:
     """Relabeling-aware equality of residuated structures.
 
-    Searches for a bijection transporting order, unit and both tables;
-    ``fixed`` pins chosen labels of s1 to labels of s2 (e.g. embedding
-    images).  Backtracking with order-profile pruning; fine for the tiny
-    carriers this package handles.
+    True when some order isomorphism from order._isomorphisms (the search
+    shared with the catalog and involution enumeration) maps unit to unit,
+    each ``fixed`` label of s1 to its label in s2 (e.g. embedding images),
+    and carries both tables of s1 onto those of s2.
     """
-    n = len(s1.poset)
-    if len(s2.poset) != n or s1.poset.leq_matrix.sum() != s2.poset.leq_matrix.sum():
-        return False
     p1, p2 = s1.poset, s2.poset
-    leq1, leq2 = p1.leq_matrix, p2.leq_matrix
-    down1, up1 = leq1.sum(axis=0), leq1.sum(axis=1)
-    down2, up2 = leq2.sum(axis=0), leq2.sum(axis=1)
-    u1, u2 = p1.index(s1.unit), p2.index(s2.unit)
-    image = [-1] * n
-    used = [False] * n
-    if fixed:
-        for a, b in fixed.items():
-            i, j = p1.index(a), p2.index(b)
-            image[i] = j
-            used[j] = True
-
-    def ok(i, j):
-        if (i == u1) != (j == u2):
-            return False
-        if down1[i] != down2[j] or up1[i] != up2[j]:
-            return False
-        for a in range(n):
-            b = image[a]
-            if b < 0:
-                continue
-            if leq1[a, i] != leq2[b, j] or leq1[i, a] != leq2[j, b]:
-                return False
-        return True
-
-    def tables_match():
-        img = np.array(image)
-        grid = np.ix_(img, img)
-        return all((img[a] == b[grid]).all() for a, b in ((s1.odot, s2.odot), (s1.arrow, s2.arrow)))
-
-    def backtrack(i):
-        if i == n:
-            return tables_match()
-        if image[i] >= 0:
-            return backtrack(i + 1)
-        for j in range(n):
-            if used[j] or not ok(i, j):
-                continue
-            image[i] = j
-            used[j] = True
-            if backtrack(i + 1):
-                return True
-            image[i] = -1
-            used[j] = False
-        return False
-
-    # validate pinned assignments up front (each against all others)
-    for i in range(n):
-        if image[i] >= 0:
-            j = image[i]
-            image[i] = -1
-            good = ok(i, j)
-            image[i] = j
-            if not good:
-                return False
-    return backtrack(0)
+    pinned = [(p1.index(s1.unit), p2.index(s2.unit))]
+    pinned += [(p1.index(a), p2.index(b)) for a, b in (fixed or {}).items()]
+    return any(
+        (f[s1.odot] == s2.odot[np.ix_(f, f)]).all() and (f[s1.arrow] == s2.arrow[np.ix_(f, f)]).all()
+        for f in _isomorphisms(p1.leq_matrix, p2.leq_matrix, pinned)
+    )

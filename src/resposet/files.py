@@ -20,12 +20,13 @@ forms are accepted back on input (so construction output round-trips).
 import json
 import re
 
+import numpy as np
+
 from .errors import (
     InvariantViolation,
     MalformedDocument,
     ReservedLabel,
     SchemaViolation,
-    StructureError,
 )
 from .involution import (
     InvolutedPoset,
@@ -33,7 +34,7 @@ from .involution import (
     involution_from_mapping,
 )
 from .order import Poset, poset_from_covers, poset_from_relation
-from .residuation import ResiduatedStructure, structure_from_tables
+from .residuation import ResiduatedStructure
 
 _KNOWN_FIELDS = {"elements", "covers", "involution", "unit", "odot", "arrow", "provenance"}
 _GENERATED = re.compile(r"^#c[0-9]+$")
@@ -65,9 +66,14 @@ def _expect(doc, key, kind, path):
     return value
 
 
-def _check_label(x, path):
+def _string(x, path):
     if not isinstance(x, str):
         raise SchemaViolation("labels must be strings", path)
+    return x
+
+
+def _check_label(x, path):
+    _string(x, path)
     if x.startswith("#") and not _GENERATED.match(x):
         raise ReservedLabel(
             f"label {x!r}: the '#' prefix is reserved for generated chain elements"
@@ -95,16 +101,17 @@ def parse_structure(doc, full_order=False) -> Bundle:
     for i, pair in enumerate(covers):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaViolation("covers entries must be 2-arrays", f"/covers/{i}")
-        pairs.append((pair[0], pair[1]))
+        pairs.append((_string(pair[0], f"/covers/{i}/0"), _string(pair[1], f"/covers/{i}/1")))
     build = poset_from_relation if full_order else poset_from_covers
     poset = build(elements, pairs)
 
     involution = None
     if "involution" in doc:
         mapping = _expect(doc, "involution", dict, "/")
-        for x in mapping:
+        for x, y in mapping.items():
             if x not in poset:
                 raise SchemaViolation(f"involution key {x!r} is not an element", "/involution")
+            _string(y, f"/involution/{x}")
         involution = involution_from_mapping(poset, mapping)
         report = check_antitone_involution(poset, involution)
         if not report.overall:
@@ -127,7 +134,7 @@ def parse_structure(doc, full_order=False) -> Bundle:
             raise SchemaViolation(f"unit {unit!r} is not an element", "/unit")
         odot = _read_table(doc, "odot", poset)
         arrow = _read_table(doc, "arrow", poset)
-        structure = structure_from_tables(poset, unit, odot, arrow)
+        structure = ResiduatedStructure(poset, unit, odot, arrow)
 
     provenance = doc.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
@@ -136,27 +143,31 @@ def parse_structure(doc, full_order=False) -> Bundle:
 
 
 def _read_table(doc, key, poset):
+    """The table as an int64 index matrix, filled in the pass that checks each cell."""
     table = _expect(doc, key, dict, "/")
-    for x in poset.elements:
+    els = poset.elements
+    index = {x: i for i, x in enumerate(els)}
+    matrix = np.empty((len(els), len(els)), dtype=np.int64)
+    for i, x in enumerate(els):
         if x not in table:
             raise SchemaViolation(f"row {x!r} is missing", f"/{key}")
         row = table[x]
         if not isinstance(row, dict):
             raise SchemaViolation(f"row {x!r} must be an object", f"/{key}/{x}")
-        for y in poset.elements:
+        for j, y in enumerate(els):
             if y not in row:
                 raise SchemaViolation(f"entry {y!r} is missing", f"/{key}/{x}")
-            if row[y] not in poset:
-                raise SchemaViolation(
-                    f"value {row[y]!r} is not an element", f"/{key}/{x}/{y}"
-                )
-        extra = sorted(set(row) - set(poset.elements))
-        if extra:
+            value = row[y]
+            if not isinstance(value, str) or value not in index:
+                raise SchemaViolation(f"value {value!r} is not an element", f"/{key}/{x}/{y}")
+            matrix[i, j] = index[value]
+        if len(row) != len(els):
+            extra = sorted(set(row) - set(els))
             raise SchemaViolation(f"unknown column {extra[0]!r}", f"/{key}/{x}")
-    extra = sorted(set(table) - set(poset.elements))
-    if extra:
+    if len(table) != len(els):
+        extra = sorted(set(table) - set(els))
         raise SchemaViolation(f"unknown row {extra[0]!r}", f"/{key}")
-    return table
+    return matrix
 
 
 def load_structure(stream, full_order=False) -> Bundle:

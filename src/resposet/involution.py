@@ -6,7 +6,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInvolution, InvariantViolation, UnknownLabel
-from .order import Poset
+from .order import Poset, _isomorphisms
 from .report import VerificationReport
 from .residuation import _verdict
 
@@ -109,54 +109,15 @@ def involuted(p: Poset, mapping) -> InvolutedPoset:
 def enumerate_antitone_involutions(p: Poset):
     """All antitone involutions on p, lexicographic in p's element order.
 
-    Backtracking over self-inverse pairings: the smallest unassigned
-    element is paired (possibly with itself) and the antitone condition
-    is enforced incrementally.  Candidate partners must have complementary
-    down-set/up-set sizes, which prunes most branches immediately.
+    An antitone involution is a self-inverse order isomorphism from p to
+    its dual, so this is order._isomorphisms(leq, leq.T, involutive=True),
+    the search that also serves the poset catalog and structural_equal.
     """
-    n = len(p)
-    leq = p.leq_matrix
-    down = leq.sum(axis=0)  # |{u : u <= x}|
-    up = leq.sum(axis=1)    # |{u : x <= u}|
-    image = [-1] * n
-    results = []
-
-    def compatible(i, j):
-        # pairing i <-> j; check against every already-assigned pair
-        if down[i] != up[j] or up[i] != down[j]:
-            return False
-        for a in range(n):
-            b = image[a]
-            if b < 0:
-                continue
-            if leq[a, i] and not leq[j, b]:
-                return False
-            if leq[i, a] and not leq[b, j]:
-                return False
-            if leq[a, j] and not leq[i, b]:
-                return False
-            if leq[j, a] and not leq[b, i]:
-                return False
-        # the new pair against itself is always fine: i <= j gives j' = i <= j = i'
-        return True
-
-    def backtrack():
-        try:
-            i = image.index(-1)
-        except ValueError:
-            results.append(
-                Involution(tuple((p.elements[a], p.elements[image[a]]) for a in range(n)))
-            )
-            return
-        for j in range(i, n):
-            if image[j] >= 0:
-                continue
-            if compatible(i, j):
-                image[i], image[j] = j, i
-                backtrack()
-                image[i], image[j] = -1, -1
-
-    backtrack()
+    els = p.elements
+    results = [
+        Involution(tuple(zip(els, (els[j] for j in image))))
+        for image in _isomorphisms(p.leq_matrix, p.leq_matrix.T, involutive=True)
+    ]
     results.sort(key=lambda inv: tuple(p.index(b) for _, b in inv.pairs))
     for inv in results:
         # every emitted involution re-validates against the axioms

@@ -24,11 +24,10 @@ import numpy as np
 
 from .errors import LimitZero, Unbounded
 from .involution import InvolutedPoset
-from .order import Poset
 from .residuation import (
     ResiduatedStructure,
+    _residuals,
     derived_negation,
-    residual_of,
     verify_residuated,
 )
 
@@ -43,6 +42,19 @@ class MinerStats:
 
     def as_dict(self):
         return {"nodes": self.nodes, "prunes": dict(sorted(self.prunes.items()))}
+
+
+def _leaf(ip: InvolutedPoset, top, table: np.ndarray, require_negation):
+    """The structure a complete monoid table defines, or the prune rule that rejects it."""
+    arrow = _residuals(ip.poset.leq_matrix, table)
+    if (arrow < 0).any():
+        return "residual-missing"
+    s = ResiduatedStructure(ip.poset, top, table, arrow)
+    if not verify_residuated(s).overall:
+        return "verification"
+    if require_negation and derived_negation(s) != ip.involution.mapping:
+        return "negation-mismatch"
+    return s
 
 
 @dataclass
@@ -130,33 +142,17 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     results = []
     truncated = False
 
-    def accept():
-        arrow = np.zeros((n, n), dtype=np.int64)
-        for jj in range(n):
-            for kk in range(n):
-                r = residual_of(p, table, p.elements[jj], p.elements[kk])
-                if r is None:
-                    stats.prune("residual-missing")
-                    return
-                arrow[jj, kk] = p.index(r)
-        s = ResiduatedStructure(p, top, table.copy(), arrow)
-        if not verify_residuated(s).overall:
-            stats.prune("verification")
-            return
-        if require_negation:
-            neg = derived_negation(s)
-            if any(neg[x] != inv(x) for x in p.elements):
-                stats.prune("negation-mismatch")
-                return
-        results.append(s)
-
     def search(pos):
         nonlocal truncated
         if len(results) >= limit:
             truncated = True
             return
         if pos == len(cells):
-            accept()
+            leaf = _leaf(ip, top, table.copy(), require_negation)
+            if isinstance(leaf, str):
+                stats.prune(leaf)
+            else:
+                results.append(leaf)
             return
         i, j = cells[pos]
         values = candidates(i, j)
@@ -186,7 +182,6 @@ def find_residuations_naive(ip: InvolutedPoset, require_negation=True, limit=10*
     if limit < 1:
         raise LimitZero("result limit must be positive")
     p = ip.poset
-    inv = ip.involution
     n = len(p)
     bottom, top = p.bounds()
     if top is None:
@@ -204,26 +199,9 @@ def find_residuations_naive(ip: InvolutedPoset, require_negation=True, limit=10*
         table[:, u] = np.arange(n)
         for (i, j), v in zip(cells, values):
             table[i, j] = table[j, i] = v
-        arrow = np.zeros((n, n), dtype=np.int64)
-        bad = False
-        for jj in range(n):
-            for kk in range(n):
-                r = residual_of(p, table, p.elements[jj], p.elements[kk])
-                if r is None:
-                    bad = True
-                    break
-                arrow[jj, kk] = p.index(r)
-            if bad:
-                break
-        if bad:
+        s = _leaf(ip, top, table, require_negation)
+        if isinstance(s, str):
             continue
-        s = ResiduatedStructure(p, top, table, arrow)
-        if not verify_residuated(s).overall:
-            continue
-        if require_negation:
-            neg = derived_negation(s)
-            if any(neg[x] != inv(x) for x in p.elements):
-                continue
         results.append(s)
         if len(results) >= limit:
             return MinerOutcome(True, results, stats, truncated=True)

@@ -104,15 +104,6 @@ class Poset:
         k = self._join_table[self.index(x), self.index(y)]
         return None if k < 0 else self.elements[k]
 
-    def _extreme(self, mask: np.ndarray, upper: bool):
-        # greatest (upper=True) or least (upper=False) element of the masked set
-        (idx,) = np.nonzero(mask)
-        for g in idx:
-            row = self.leq_matrix[idx, g] if upper else self.leq_matrix[g, idx]
-            if row.all():
-                return self.elements[g]
-        return None
-
     def is_lattice(self) -> bool:
         return bool((self._meet_table >= 0).all() and (self._join_table >= 0).all())
 
@@ -152,6 +143,65 @@ def _greatest_lower_bounds(leq: np.ndarray) -> np.ndarray:
     for g in range(len(leq)):
         table[np.outer(leq[g], leq[g]) & (common == below[g])] = g
     return table
+
+
+def _isomorphisms(a: np.ndarray, b: np.ndarray, pinned=(), involutive=False):
+    """Yield every order isomorphism a -> b as an int64 index array.
+
+    a and b are boolean leq matrices; ``pinned`` lists (i, j) index pairs
+    that must map to each other.  The search assigns the smallest
+    unassigned index first and tries candidates in ascending order.  A
+    candidate must have the same (down-set size, up-set size) profile and
+    agree with every assigned pair in both directions.  A pin that breaks
+    this, or two pins to one target, yields nothing.
+
+    With involutive=True, b is a.T and assigning i -> j also assigns
+    j -> i, so only self-inverse maps (antitone involutions) come out.
+    """
+    n = len(a)
+    profile_a = list(zip(a.sum(axis=0).tolist(), a.sum(axis=1).tolist()))
+    profile_b = list(zip(b.sum(axis=0).tolist(), b.sum(axis=1).tolist()))
+    if sorted(profile_a) != sorted(profile_b):
+        return
+    rows_a, cols_a, rows_b, cols_b = a.tolist(), a.T.tolist(), b.tolist(), b.T.tolist()
+    image = [-1] * n
+    taken = [False] * n
+    assigned = []  # (i, image[i]) in assignment order
+
+    def fits(i, j):
+        if image[i] >= 0 or taken[j] or profile_a[i] != profile_b[j]:
+            return False
+        row_i, col_i, row_j, col_j = rows_a[i], cols_a[i], rows_b[j], cols_b[j]
+        return all(row_i[x] == row_j[y] and col_i[x] == col_j[y] for x, y in assigned)
+
+    def place(i, j):
+        # the reverse pair j -> i of an involution agrees whenever i -> j does
+        pairs = [(i, j), (j, i)] if involutive and i != j else [(i, j)]
+        for x, y in pairs:
+            image[x], taken[y] = y, True
+        assigned.extend(pairs)
+        return pairs
+
+    def search(i):
+        while i < n and image[i] >= 0:
+            i += 1
+        if i == n:
+            yield np.array(image, dtype=np.int64)
+            return
+        for j in range(n):
+            if fits(i, j):
+                pairs = place(i, j)
+                yield from search(i + 1)
+                for x, y in pairs:
+                    image[x], taken[y] = -1, False
+                del assigned[-len(pairs):]
+
+    for i, j in pinned:
+        if image[i] != j:
+            if not fits(i, j):
+                return
+            place(i, j)
+    yield from search(0)
 
 
 def _check_labels(elements) -> tuple:

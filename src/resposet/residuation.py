@@ -183,11 +183,24 @@ def check_integrality(s: ResiduatedStructure) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
+def _residuals(leq: np.ndarray, odot: np.ndarray) -> np.ndarray:
+    """arrow[j, k]: index of the greatest a with a . j <= k, -1 where there is none.
+
+    odot may hold a subset of the columns; the result has one row per
+    column.  Same count trick as order._greatest_lower_bounds: g is the
+    greatest member of the set {a : a . j <= k} iff it is a member and
+    has every member below it.
+    """
+    member = leq[odot, :]  # [a, j, k]: a . j <= k
+    below = np.tensordot(leq.astype(np.int64), member, axes=(0, 0))  # [g, j, k]: members <= g
+    greatest = member & (below == member.sum(axis=0))
+    return np.where(greatest.any(axis=0), greatest.argmax(axis=0), -1)
+
+
 def residual_of(p: Poset, odot: np.ndarray, b, c):
     """Greatest a with a . b <= c, or None when the set has no greatest element."""
-    j, k = p.index(b), p.index(c)
-    mask = p.leq_matrix[odot[:, j], k]
-    return p._extreme(mask, upper=True)
+    k = _residuals(p.leq_matrix, odot[:, [p.index(b)]])[0, p.index(c)]
+    return None if k < 0 else p.elements[k]
 
 
 def is_monotone(p: Poset, odot: np.ndarray) -> bool:

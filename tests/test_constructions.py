@@ -1,3 +1,7 @@
+import random
+from itertools import permutations
+
+import numpy as np
 import pytest
 
 from resposet import (
@@ -11,6 +15,7 @@ from resposet import (
     extend_theorem1,
     extend_theorem2,
     extend_theorem3,
+    find_residuations,
     involuted,
     structural_equal,
     verify_residuated,
@@ -22,9 +27,11 @@ from resposet.fixtures import (
     cube_boolean,
     letter_cube_boolean,
     n5,
+    kleene_six_involuted,
     n5_involuted,
 )
-from resposet.order import poset_from_covers
+from resposet.order import Poset, poset_from_covers
+from resposet.residuation import ResiduatedStructure
 
 
 def parse_table(text, relabel):
@@ -385,3 +392,47 @@ class TestStructuralEquality:
         a = extend_theorem1(n5_involuted(), ExtensionMode.REUSE_BOUNDS).structure
         b = chain_residuation(7).structure
         assert not structural_equal(a, b)
+
+
+def _relabel(s, seed):
+    """s with every label x renamed to "r" + x and the element order shuffled."""
+    order = np.random.default_rng(seed).permutation(len(s.elements))
+    new_index = np.argsort(order)
+    grid = np.ix_(order, order)
+    p = Poset(tuple("r" + s.elements[i] for i in order), s.poset.leq_matrix[grid].copy())
+    return ResiduatedStructure(p, "r" + s.unit, new_index[s.odot[grid]], new_index[s.arrow[grid]])
+
+
+def _brute_equal(s1, s2, fixed):
+    """Oracle: some permutation of all n! maps order, unit, pins and both tables."""
+    perms = np.array(list(permutations(range(len(s1.elements)))))
+    grid = (perms[:, :, None], perms[:, None, :])
+    ok = (s1.poset.leq_matrix == s2.poset.leq_matrix[grid]).all(axis=(1, 2))
+    for a, b in {s1.unit: s2.unit, **fixed}.items():
+        ok &= perms[:, s1.poset.index(a)] == s2.poset.index(b)
+    for t1, t2 in ((s1.odot, s2.odot), (s1.arrow, s2.arrow)):
+        ok &= (perms[:, t1] == t2[grid]).all(axis=(1, 2))
+    return bool(ok.any()), int(ok.sum())
+
+
+class TestStructuralEqualAgainstPermutations:
+    def test_kleene6_any_negation_structures(self):
+        structures = find_residuations(
+            kleene_six_involuted(), require_negation=False, limit=100
+        ).structures
+        assert len(structures) == 19
+        rng = random.Random(5)
+        verdicts, automorphic = set(), 0
+        for i, a in enumerate(structures):
+            for j, b in enumerate(structures):
+                b = _relabel(b, 100 * i + j)
+                x, y = rng.choice(a.elements), rng.choice(a.elements)
+                for fixed in ({}, {a.unit: b.unit}, {x: "r" + x}, {x: "r" + y}):
+                    expected, count = _brute_equal(a, b, fixed)
+                    assert structural_equal(a, b, fixed=fixed) == expected, (i, j, fixed)
+                    verdicts.add(expected)
+                    automorphic += count > 1
+                z = next(e for e in a.elements if e != x)
+                assert not structural_equal(a, b, fixed={x: "r" + y, z: "r" + y})
+        assert verdicts == {True, False}
+        assert automorphic > 0  # some pairs match under several relabelings

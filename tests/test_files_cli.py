@@ -276,6 +276,31 @@ class TestCli:
         path.write_text('{"elements": ["x"], "wat": 1, "covers": []}')
         assert main(["verify", "-i", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "doc, pointer",
+        [
+            ({"elements": ["a"], "covers": [], "involution": {"a": ["a"]}}, "/involution/a"),
+            ({"elements": ["a", "b"], "covers": [[["a"], "b"]]}, "/covers/0/0"),
+            (
+                {
+                    "elements": ["a"],
+                    "covers": [],
+                    "unit": "a",
+                    "odot": {"a": {"a": ["a"]}},
+                    "arrow": {"a": {"a": "a"}},
+                },
+                "/odot/a/a",
+            ),
+        ],
+    )
+    def test_unhashable_label_is_schema_error(self, tmp_path, capsys, doc, pointer):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["show", "-i", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pointer}: ")
+        assert "Traceback" not in err
+
     def test_full_order_flag(self, tmp_path, capsys):
         p = n5()
         doc = {

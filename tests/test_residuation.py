@@ -14,7 +14,7 @@ from resposet import (
     verify_residuated,
 )
 from resposet.errors import NoBottom, UnknownLabel
-from resposet.fixtures import antichain, n5, n5_involuted
+from resposet.fixtures import antichain, kleene_six, n5, n5_involuted, pseudo_kleene_nine
 from resposet.order import poset_from_covers
 from resposet.residuation import ResiduatedStructure, is_monotone
 
@@ -176,6 +176,19 @@ class TestResidual:
         lower = [x for x in p.elements if p.leq(p.meet(x, "b"), "a")]
         assert set(lower) == {"0", "a", "c"}
         assert residual_of(p, odot, "b", "a") is None
+
+    @pytest.mark.parametrize("poset", [n5(), kleene_six(), pseudo_kleene_nine()])
+    def test_random_tables_match_a_loop(self, poset):
+        # reference: the members of {a : a . b <= c}, then the one with every member below it
+        rng = np.random.default_rng(11)
+        els = poset.elements
+        for _ in range(40):
+            odot = rng.integers(len(els), size=(len(els), len(els)))
+            for b in els:
+                for c in els:
+                    members = [a for a in els if poset.leq(els[odot[poset.index(a), poset.index(b)]], c)]
+                    greatest = [g for g in members if all(poset.leq(a, g) for a in members)]
+                    assert residual_of(poset, odot, b, c) == (greatest[0] if greatest else None)
 
 
 class TestAdjointnessMetatheorem:
