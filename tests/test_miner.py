@@ -9,7 +9,13 @@ from resposet import (
     verify_residuated,
 )
 from resposet.errors import LimitZero, Unbounded
-from resposet.fixtures import antichain, chain, n5_involuted
+from resposet.fixtures import (
+    antichain,
+    chain,
+    kleene_six_involuted,
+    n5_involuted,
+    pseudo_kleene_nine_involuted,
+)
 from resposet.order import poset_from_covers
 
 
@@ -86,6 +92,44 @@ class TestDeterminism:
         for s, t in zip(a.structures, b.structures):
             assert s == t
         assert a.stats.as_dict() == b.stats.as_dict()
+
+
+ALL = 10**6
+
+# (structures, truncated, stats) of the pruned search; any change to the
+# search tree (candidate order, pruning rules, check placement) moves them
+SEARCH_TREES = [
+    ("chain6", lambda: chain_inv(6), True, ALL,
+     (7, False, {"nodes": 61, "prunes": {"associativity": 14, "monotonicity": 15}})),
+    ("chain7", lambda: chain_inv(7), True, ALL,
+     (12, False, {"nodes": 173, "prunes": {"associativity": 53, "monotonicity": 54}})),
+    ("chain8", lambda: chain_inv(8), True, ALL,
+     (31, False, {"nodes": 756, "prunes": {"associativity": 227, "monotonicity": 321}})),
+    ("chain9", lambda: chain_inv(9), True, ALL,
+     (59, False, {"nodes": 2151, "prunes": {"associativity": 729, "monotonicity": 938}})),
+    ("n5", n5_involuted, True, ALL,
+     (0, False, {"nodes": 6, "prunes": {"empty-cell": 1}})),
+    ("kleene6", kleene_six_involuted, True, ALL,
+     (4, False, {"nodes": 45, "prunes": {"associativity": 8, "monotonicity": 10}})),
+    ("kleene6-any-negation", kleene_six_involuted, False, ALL,
+     (19, False, {"nodes": 612, "prunes": {
+         "associativity": 89, "monotonicity": 269, "residual-missing": 62}})),
+    ("pk9", pseudo_kleene_nine_involuted, True, ALL,
+     (0, False, {"nodes": 99, "prunes": {"associativity": 14, "monotonicity": 41}})),
+    ("chain8-limit3", lambda: chain_inv(8), True, 3,
+     (3, True, {"nodes": 37, "prunes": {"associativity": 5, "monotonicity": 1}})),
+]
+
+
+class TestSearchTree:
+    @pytest.mark.parametrize(
+        "make, require_negation, limit, expected",
+        [case[1:] for case in SEARCH_TREES],
+        ids=[case[0] for case in SEARCH_TREES],
+    )
+    def test_stats_are_pinned(self, make, require_negation, limit, expected):
+        outcome = find_residuations(make(), require_negation=require_negation, limit=limit)
+        assert (len(outcome.structures), outcome.truncated, outcome.stats.as_dict()) == expected
 
 
 class TestConstructionOutputsAccepted:
