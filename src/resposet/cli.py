@@ -311,23 +311,13 @@ def build_parser():
 
 
 def _validate(args):
-    if args.command == "extend":
-        if args.theorem == "cor1":
-            if args.n is None or args.n < 3:
-                raise StructureError("cor1 needs --n >= 3")
-        elif args.theorem == "thm2":
-            if args.n is None or args.n <= 1:
-                raise StructureError("thm2 needs --n > 1")
-        elif args.theorem == "thm3":
-            if args.n is None or args.n <= 1 or args.k < 0:
-                raise StructureError("thm3 needs --n > 1 and --k >= 0")
-        elif args.theorem == "thm5":
-            if args.n is None or args.n < 1:
-                raise StructureError("thm5 needs --n >= 1")
-        if args.theorem != "cor1" and not args.input:
-            raise StructureError(f"{args.theorem} needs --input")
-    if args.command == "mine" and args.limit < 1:
-        raise StructureError("--limit must be positive")
+    """Presence checks only; each numeric bound is stated where it is enforced."""
+    if args.command != "extend":
+        return
+    if args.theorem in ("cor1", "thm2", "thm3", "thm5") and args.n is None:
+        raise StructureError(f"{args.theorem} needs --n")
+    if args.theorem != "cor1" and not args.input:
+        raise StructureError(f"{args.theorem} needs --input")
 
 
 def main(argv=None):

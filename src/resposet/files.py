@@ -57,12 +57,17 @@ class Bundle:
         return self.poset
 
 
-def _expect(doc, key, kind, path):
+def _pointer(*segments):
+    """JSON pointer from raw keys, each escaped as RFC 6901 asks: '~' -> '~0', '/' -> '~1'."""
+    return "".join("/" + str(x).replace("~", "~0").replace("/", "~1") for x in segments)
+
+
+def _expect(doc, key, kind):
     if key not in doc:
-        raise SchemaViolation(f"required field {key!r} is missing", path)
+        raise SchemaViolation(f"required field {key!r} is missing", "/")
     value = doc[key]
     if not isinstance(value, kind):
-        raise SchemaViolation(f"field {key!r} has the wrong type", f"{path}/{key}")
+        raise SchemaViolation(f"field {key!r} has the wrong type", f"/{key}")
     return value
 
 
@@ -92,11 +97,11 @@ def parse_structure(doc, full_order=False) -> Bundle:
         raise SchemaViolation("document must be a JSON object", "/")
     unknown = sorted(set(doc) - _KNOWN_FIELDS)
     if unknown:
-        raise SchemaViolation(f"unknown field {unknown[0]!r}", f"/{unknown[0]}")
+        raise SchemaViolation(f"unknown field {unknown[0]!r}", _pointer(unknown[0]))
 
-    elements = _expect(doc, "elements", list, "/")
+    elements = _expect(doc, "elements", list)
     elements = [_check_label(x, f"/elements/{i}") for i, x in enumerate(elements)]
-    covers = _expect(doc, "covers", list, "/")
+    covers = _expect(doc, "covers", list)
     pairs = []
     for i, pair in enumerate(covers):
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -107,11 +112,11 @@ def parse_structure(doc, full_order=False) -> Bundle:
 
     involution = None
     if "involution" in doc:
-        mapping = _expect(doc, "involution", dict, "/")
+        mapping = _expect(doc, "involution", dict)
         for x, y in mapping.items():
             if x not in poset:
                 raise SchemaViolation(f"involution key {x!r} is not an element", "/involution")
-            _string(y, f"/involution/{x}")
+            _string(y, _pointer("involution", x))
         involution = involution_from_mapping(poset, mapping)
         report = check_antitone_involution(poset, involution)
         if not report.overall:
@@ -129,7 +134,7 @@ def parse_structure(doc, full_order=False) -> Bundle:
                 f"residuated structures need unit/odot/arrow together; missing {missing[0]!r}",
                 "/",
             )
-        unit = _expect(doc, "unit", str, "/")
+        unit = _expect(doc, "unit", str)
         if unit not in poset:
             raise SchemaViolation(f"unit {unit!r} is not an element", "/unit")
         odot = _read_table(doc, "odot", poset)
@@ -144,7 +149,7 @@ def parse_structure(doc, full_order=False) -> Bundle:
 
 def _read_table(doc, key, poset):
     """The table as an int64 index matrix, filled in the pass that checks each cell."""
-    table = _expect(doc, key, dict, "/")
+    table = _expect(doc, key, dict)
     els = poset.elements
     index = {x: i for i, x in enumerate(els)}
     matrix = np.empty((len(els), len(els)), dtype=np.int64)
@@ -153,17 +158,17 @@ def _read_table(doc, key, poset):
             raise SchemaViolation(f"row {x!r} is missing", f"/{key}")
         row = table[x]
         if not isinstance(row, dict):
-            raise SchemaViolation(f"row {x!r} must be an object", f"/{key}/{x}")
+            raise SchemaViolation(f"row {x!r} must be an object", _pointer(key, x))
         for j, y in enumerate(els):
             if y not in row:
-                raise SchemaViolation(f"entry {y!r} is missing", f"/{key}/{x}")
+                raise SchemaViolation(f"entry {y!r} is missing", _pointer(key, x))
             value = row[y]
             if not isinstance(value, str) or value not in index:
-                raise SchemaViolation(f"value {value!r} is not an element", f"/{key}/{x}/{y}")
+                raise SchemaViolation(f"value {value!r} is not an element", _pointer(key, x, y))
             matrix[i, j] = index[value]
         if len(row) != len(els):
             extra = sorted(set(row) - set(els))
-            raise SchemaViolation(f"unknown column {extra[0]!r}", f"/{key}/{x}")
+            raise SchemaViolation(f"unknown column {extra[0]!r}", _pointer(key, x))
     if len(table) != len(els):
         extra = sorted(set(table) - set(els))
         raise SchemaViolation(f"unknown row {extra[0]!r}", f"/{key}")

@@ -10,8 +10,8 @@ the axioms:
   monotonicity:  a <= b implies a . c <= b . c
   negation-zero: when the derived negation must equal the involution,
                  x . y = 0 exactly when x <= y'
-  associativity: checked on sub-tables as soon as every referenced
-                 cell is assigned
+  associativity: (a . b) . c = a . (b . c) on every triple whose four
+                 lookups are assigned
 
 A naive oracle (no pruning beyond commutativity and the forced unit
 row) is provided for small carriers to certify the pruned search.
@@ -65,6 +65,25 @@ class MinerOutcome:
     truncated: bool = False  # hit the result limit before exhausting the space
 
 
+def _free_cells(ip: InvolutedPoset, require_negation, limit):
+    """Check the search arguments; return the top and the (i, j), i <= j, cells off the unit row.
+
+    The cells come as a (k, 2) index array in row-major order.
+    """
+    if limit < 1:
+        raise LimitZero("result limit must be positive")
+    p = ip.poset
+    bottom, top = p.bounds()
+    if top is None:
+        raise Unbounded("the miner needs a greatest element to serve as unit")
+    if require_negation and bottom is None:
+        raise Unbounded("matching the involution as negation needs a least element")
+    u = p.index(top)
+    free = np.triu(np.ones((len(p), len(p)), dtype=bool))
+    free[u, :] = free[:, u] = False
+    return top, np.argwhere(free)
+
+
 def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> MinerOutcome:
     """Enumerate residuated structures on the given involuted poset.
 
@@ -73,93 +92,57 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     accepted (and the poset must have a bottom).  Results appear in
     lexicographic order of the monoid table.
     """
-    if limit < 1:
-        raise LimitZero("result limit must be positive")
+    top, cells = _free_cells(ip, require_negation, limit)
     p = ip.poset
-    inv = ip.involution
     n = len(p)
-    bottom, top = p.bounds()
-    if top is None:
-        raise Unbounded("the miner needs a greatest element to serve as unit")
-    if require_negation and bottom is None:
-        raise Unbounded("matching the involution as negation needs a least element")
-
     leq = p.leq_matrix
     u = p.index(top)
-    b0 = p.index(bottom) if bottom is not None else -1
-    inv_idx = [p.index(inv(x)) for x in p.elements]
     stats = MinerStats()
 
-    cells = [
-        (i, j)
-        for i in range(n)
-        for j in range(i, n)
-        if i != u and j != u
-    ]
+    # [v, i, j]: v is a common lower bound of i and j (integrality) ...
+    allowed = leq[:, :, None] & leq[:, None, :]
+    if require_negation:
+        # ... and v is the bottom exactly when i <= j' (negation-zero)
+        inv = [p.index(ip.involution(x)) for x in p.elements]
+        is_bottom = np.arange(n) == p.index(p.bounds()[0])
+        allowed &= is_bottom[:, None, None] == leq[None, :, inv]
+    candidates = [np.flatnonzero(c).tolist() for c in allowed[:, cells[:, 0], cells[:, 1]].T]
 
-    # candidate values per cell under the integrality and negation rules
-    def candidates(i, j):
-        lower = np.nonzero(leq[:, i] & leq[:, j])[0]
-        if require_negation:
-            if leq[i, inv_idx[j]]:
-                return [v for v in lower if v == b0]
-            return [v for v in lower if v != b0]
-        return list(lower)
-
-    table = np.full((n, n), -1, dtype=np.int64)
-    table[u, :] = np.arange(n)
-    table[:, u] = np.arange(n)
+    # the last row and column stay -1, so an unassigned cell looks up -1
+    table = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    table[u, :n] = table[:n, u] = np.arange(n)
+    t = table[:n, :n]
 
     def monotone_ok(i, j, v):
-        for a, b in cells:
-            w = table[a, b]
-            if w < 0 or (a, b) == (i, j):
-                continue
-            for (x1, y1), (x2, y2) in (((a, b), (i, j)), ((i, j), (a, b))):
-                v1 = v if (x1, y1) == (i, j) else w
-                v2 = v if (x2, y2) == (i, j) else w
-                # cells are unordered pairs; compare both orientations
-                if (leq[x1, x2] and leq[y1, y2]) or (leq[x1, y2] and leq[y1, x2]):
-                    if not leq[v1, v2]:
-                        return False
-        # against the forced unit row: i <= u always, so v <= table[u, j] = j
-        # is already implied by integrality
-        return True
+        # an assigned (a, b) with a <= i, b <= j needs a . b <= v, and with
+        # i <= a, j <= b needs v <= a . b; t is symmetric, so these also
+        # cover (b, a)
+        below = leq[:, i, None] & leq[None, :, j]
+        above = leq[i, :, None] & leq[None, j, :]
+        bad = (below & ~leq[t, v]) | (above & ~leq[v, t])
+        return not (bad & (t >= 0)).any()
 
     def assoc_ok():
-        for a in range(n):
-            for b in range(n):
-                ab = table[a, b]
-                for c in range(n):
-                    bc = table[b, c]
-                    if ab < 0 or bc < 0:
-                        continue
-                    left, right = table[ab, c], table[a, bc]
-                    if left >= 0 and right >= 0 and left != right:
-                        return False
-        return True
+        left, right = table[t, :n], table[:n, t]  # [a, b, c]: (a . b) . c, a . (b . c)
+        return not ((left != right) & (left >= 0) & (right >= 0)).any()
 
     results = []
     truncated = False
 
     def search(pos):
         nonlocal truncated
-        if len(results) >= limit:
-            truncated = True
-            return
         if pos == len(cells):
-            leaf = _leaf(ip, top, table.copy(), require_negation)
+            leaf = _leaf(ip, top, t.copy(), require_negation)
             if isinstance(leaf, str):
                 stats.prune(leaf)
             else:
                 results.append(leaf)
             return
         i, j = cells[pos]
-        values = candidates(i, j)
-        if not values:
+        if not candidates[pos]:
             stats.prune("empty-cell")
             return
-        for v in values:
+        for v in candidates[pos]:
             stats.nodes += 1
             table[i, j] = table[j, i] = v
             if not monotone_ok(i, j, v):
@@ -179,26 +162,17 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
 
 def find_residuations_naive(ip: InvolutedPoset, require_negation=True, limit=10**9) -> MinerOutcome:
     """Oracle enumeration: all commutative unit-respecting tables, no pruning."""
-    if limit < 1:
-        raise LimitZero("result limit must be positive")
-    p = ip.poset
-    n = len(p)
-    bottom, top = p.bounds()
-    if top is None:
-        raise Unbounded("the miner needs a greatest element to serve as unit")
-    if require_negation and bottom is None:
-        raise Unbounded("matching the involution as negation needs a least element")
-    u = p.index(top)
-    cells = [(i, j) for i in range(n) for j in range(i, n) if i != u and j != u]
+    top, cells = _free_cells(ip, require_negation, limit)
+    n = len(ip.poset)
+    u = ip.poset.index(top)
+    rows, cols = cells.T
     stats = MinerStats()
     results = []
     for values in product(range(n), repeat=len(cells)):
         stats.nodes += 1
         table = np.zeros((n, n), dtype=np.int64)
-        table[u, :] = np.arange(n)
-        table[:, u] = np.arange(n)
-        for (i, j), v in zip(cells, values):
-            table[i, j] = table[j, i] = v
+        table[u, :] = table[:, u] = np.arange(n)
+        table[rows, cols] = table[cols, rows] = values
         s = _leaf(ip, top, table, require_negation)
         if isinstance(s, str):
             continue

@@ -126,46 +126,32 @@ def _verdict(name, bad, els):
     return failed(name, tuple(els[i] for i in idx))
 
 
-def derived_negation(s: ResiduatedStructure) -> dict:
-    """The map x -> (x -> bottom); requires a least element."""
+def _negation(s: ResiduatedStructure) -> np.ndarray:
+    """Index array of x -> bottom; requires a least element."""
     bottom, _ = s.poset.bounds()
     if bottom is None:
         raise NoBottom("structure has no least element")
-    b = s.poset.index(bottom)
-    return {x: s.elements[s.arrow[i, b]] for i, x in enumerate(s.elements)}
+    return s.arrow[:, s.poset.index(bottom)]
+
+
+def derived_negation(s: ResiduatedStructure) -> dict:
+    """The map x -> (x -> bottom); requires a least element."""
+    return {x: s.elements[k] for x, k in zip(s.elements, _negation(s))}
 
 
 def check_lemma1(s: ResiduatedStructure) -> VerificationReport:
     """Properties of the derived negation: x <= x'' and antitonicity."""
-    neg = derived_negation(s)
-    p = s.poset
-    checks = []
-
-    witness = None
-    for x in p.elements:
-        if not p.leq(x, neg[neg[x]]):
-            witness = (x,)
-            break
-    checks.append(
-        passed("double-negation-expansive")
-        if witness is None
-        else failed("double-negation-expansive", witness)
+    neg = _negation(s)
+    leq = s.poset.leq_matrix
+    els = s.elements
+    expansive = ~leq[np.arange(len(els)), neg[neg]]
+    antitone = leq & ~leq[np.ix_(neg, neg)].T  # [x, y]: x <= y but not y' <= x'
+    return VerificationReport(
+        (
+            _verdict("double-negation-expansive", expansive, els),
+            _verdict("negation-antitone", antitone, els),
+        )
     )
-
-    witness = None
-    for x in p.elements:
-        for y in p.elements:
-            if p.leq(x, y) and not p.leq(neg[y], neg[x]):
-                witness = (x, y)
-                break
-        if witness:
-            break
-    checks.append(
-        passed("negation-antitone")
-        if witness is None
-        else failed("negation-antitone", witness)
-    )
-    return VerificationReport(tuple(checks))
 
 
 def check_integrality(s: ResiduatedStructure) -> VerificationReport:

@@ -109,6 +109,26 @@ class TestSchema:
             parse_structure(doc)
         assert exc.value.path == "/odot/#c1"
 
+    @pytest.mark.parametrize(
+        "change, pointer",
+        [
+            ({"a/b": 1}, "/a~1b"),
+            ({"involution": {"a/b": ["a/b"], "x~y": "x~y"}}, "/involution/a~1b"),
+            ({"odot": {"a/b": {"a/b": "a/b", "x~y": "z"}, "x~y": {}}}, "/odot/a~1b/x~0y"),
+            ({"odot": {"a/b": {"a/b": "a/b", "x~y": "a/b"}, "x~y": 1}}, "/odot/x~0y"),
+            ({"odot": {"a/b": {"a/b": "a/b"}, "x~y": {}}}, "/odot/a~1b"),
+            ({"covers": {}}, "/covers"),
+        ],
+    )
+    def test_pointer_escapes_labels(self, change, pointer):
+        # RFC 6901: '~' becomes '~0' and '/' becomes '~1' inside a segment
+        table = {x: {y: x for y in ("a/b", "x~y")} for x in ("a/b", "x~y")}
+        doc = {"elements": ["a/b", "x~y"], "covers": [], "unit": "a/b",
+               "odot": table, "arrow": table}
+        with pytest.raises(SchemaViolation) as exc:
+            parse_structure(dict(doc, **change))
+        assert exc.value.path == pointer
+
     def test_bad_involution_is_invariant_violation(self):
         doc = dict(N5_DOC, involution={x: x for x in N5_DOC["elements"]})
         with pytest.raises(InvariantViolation):
@@ -199,7 +219,28 @@ class TestCli:
 
     def test_extend_cor1_needs_n(self, capsys):
         assert main(["extend", "cor1"]) == 2
+        assert capsys.readouterr().err == "error: cor1 needs --n\n"
         assert main(["extend", "cor1", "--n", "2"]) == 2
+        assert capsys.readouterr().err == "error: chain construction needs n >= 3, got 2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extend", "thm2", "-i", "builtin:n5"],
+            ["extend", "thm1"],
+            ["extend", "thm2", "-i", "builtin:n5", "--n", "1"],
+            ["extend", "thm3", "-i", "builtin:n5", "--n", "2", "--k", "-1"],
+            ["extend", "thm5", "-i", "builtin:cube8", "--n", "0"],
+            ["mine", "-i", "builtin:n5", "--limit", "0"],
+            ["mine", "-i", "builtin:cube2", "--naive", "--limit", "0"],
+        ],
+    )
+    def test_missing_or_out_of_range_parameter_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_extend_thm3_json(self, tmp_path, capsys):
         doc = {"elements": ["u", "v"], "covers": []}

@@ -136,6 +136,34 @@ class TestLemma1:
         assert not report.overall
         failing = report.failed()[0]
         assert not replay_check(bad, failing.name, failing.witness)
+        # the first failing pair in element order, for each property
+        assert report.lines() == [
+            "double-negation-expansive: FAIL witness=('b',)",
+            "negation-antitone: FAIL witness=('a', 'b')",
+        ]
+
+
+    def test_random_arrows_match_a_loop(self):
+        # reference: the first failing x, and (x, y), in element order
+        rng = np.random.default_rng(5)
+        s = en5().structure
+        p, els = s.poset, s.elements
+        for _ in range(100):
+            arrow = np.array(s.arrow)
+            arrow[:, p.index("#c1")] = rng.integers(len(els), size=len(els))
+            bad = ResiduatedStructure(p, s.unit, np.array(s.odot), arrow)
+            neg = derived_negation(bad)
+            expansive = [(x,) for x in els if not p.leq(x, neg[neg[x]])]
+            antitone = [
+                (x, y) for x in els for y in els if p.leq(x, y) and not p.leq(neg[y], neg[x])
+            ]
+            report = check_lemma1(bad)
+            assert report.check("double-negation-expansive").witness == (
+                expansive[0] if expansive else None
+            )
+            assert report.check("negation-antitone").witness == (
+                antitone[0] if antitone else None
+            )
 
 
 class TestIntegrality:
