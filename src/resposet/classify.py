@@ -13,8 +13,7 @@ from .involution import (
     involution_from_mapping,
 )
 from .order import Poset
-from .report import VerificationReport
-from .residuation import _verdict
+from .report import VerificationReport, verdict
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,8 @@ def check_pseudo_kleene(L: Poset, inv) -> KleeneVerdict:
     absorption = meet[xs[:, None], join[neg, :]] != join[low[:, None], meet]
     report = VerificationReport(
         (
-            _verdict("kleene-bound", bound, L.elements),
-            _verdict("kleene-absorption", absorption, L.elements),
+            verdict("kleene-bound", bound, L.elements),
+            verdict("kleene-absorption", absorption, L.elements),
         )
     )
     distributive = is_distributive(L)[0]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / verification passed; 1 = a verification or
 classification came out negative (report still printed); 2 = input or
-usage error.
+usage error.  Each cmd_* returns (text, exit code) and main writes the
+text, once, to stdout or to --output.
 """
 
 import argparse
@@ -24,11 +25,11 @@ from .constructions import (
     structural_equal,
 )
 from .errors import StructureError
-from .fixtures import BUILTIN_INVOLUTIONS, BUILTIN_POSETS
-from .involution import InvolutedPoset, enumerate_antitone_involutions, involution_from_mapping
+from .fixtures import BUILTINS
+from .involution import InvolutedPoset, enumerate_antitone_involutions
 from .miner import find_residuations, find_residuations_naive
-from .order import Poset
 from .render import export_dot, render_tables
+from .report import VerificationReport
 from .residuation import (
     ResiduatedStructure,
     check_integrality,
@@ -42,31 +43,16 @@ NAIVE_MINER_MAX = 4  # naive oracle is factorial; guard the carrier size
 def _load(path, full_order=False) -> files.Bundle:
     if path.startswith("builtin:"):
         name = path.split(":", 1)[1]
-        if name not in BUILTIN_POSETS:
+        if name not in BUILTINS:
             raise StructureError(
-                f"unknown builtin {name!r}; available: {', '.join(sorted(BUILTIN_POSETS))}"
+                f"unknown builtin {name!r}; available: {', '.join(sorted(BUILTINS))}"
             )
-        poset = BUILTIN_POSETS[name]()
-        involution = involution_from_mapping(poset, BUILTIN_INVOLUTIONS[name]())
-        return files.Bundle(poset, involution)
+        ip = BUILTINS[name]()
+        return files.Bundle(ip.poset, ip.involution)
     if path == "-":
         return files.load_structure(sys.stdin, full_order=full_order)
     with open(path, encoding="utf-8") as fh:
         return files.load_structure(fh, full_order=full_order)
-
-
-def _emit(args, text):
-    if getattr(args, "output", None) and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as out:
-            out.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json(doc) -> str:
-    buf = io.StringIO()
-    files.dump(doc, buf)
-    return buf.getvalue()
 
 
 def _need_structure(bundle) -> ResiduatedStructure:
@@ -81,22 +67,24 @@ def _need_involuted(bundle) -> InvolutedPoset:
     return InvolutedPoset(bundle.poset, bundle.involution)
 
 
+def _render(bundle, fmt) -> str:
+    """The text of show and extend: the same bundle gives the same bytes."""
+    if fmt == "dot":
+        return export_dot(bundle.poset, bundle.involution)
+    if fmt == "json":
+        buf = io.StringIO()
+        files.dump(files.to_doc(bundle), buf)
+        return buf.getvalue()
+    return render_tables(_need_structure(bundle), fmt)
+
+
 def cmd_verify(args):
-    bundle = _load(args.input, args.full_order)
-    s = _need_structure(bundle)
-    report = verify_residuated(s)
-    lines = report.lines()
-    extra_ok = True
+    s = _need_structure(_load(args.input, args.full_order))
+    checks = verify_residuated(s).checks
     if s.poset.bounds()[0] is not None:
-        lemma = check_lemma1(s)
-        lines += lemma.lines()
-        extra_ok = extra_ok and lemma.overall
-    integ = check_integrality(s)
-    lines += integ.lines()
-    extra_ok = extra_ok and integ.overall
-    ok = report.overall and extra_ok
-    _emit(args, "\n".join(lines + [f"overall: {'PASS' if ok else 'FAIL'}"]) + "\n")
-    return 0 if ok else 1
+        checks += check_lemma1(s).checks
+    report = VerificationReport(checks + check_integrality(s).checks)
+    return str(report) + "\n", 0 if report.overall else 1
 
 
 def cmd_involutions(args):
@@ -104,37 +92,20 @@ def cmd_involutions(args):
     found = enumerate_antitone_involutions(bundle.poset)
     lines = [str(inv) for inv in found]
     lines.append(f"count: {len(found)}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
-
-
-def _emit_result(args, result):
-    fmt = args.format
-    if fmt == "json":
-        doc = files.structure_to_doc(result.structure, result.involution, result.provenance)
-        _emit(args, _json(doc))
-    elif fmt in ("text", "csv"):
-        _emit(args, render_tables(result.structure, fmt))
-    elif fmt == "dot":
-        _emit(args, export_dot(result.structure.poset, result.involution))
-    else:
-        raise StructureError(f"unknown format {fmt!r}")
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 def cmd_extend(args):
+    bundle = None if args.theorem == "cor1" else _load(args.input, args.full_order)
     if args.theorem == "cor1":
         result = chain_residuation(args.n)
-        return _emit_result(args, result)
-    bundle = _load(args.input, args.full_order)
-    if args.theorem == "thm1":
-        mode = ExtensionMode(args.mode)
-        result = extend_theorem1(_need_involuted(bundle), mode)
+    elif args.theorem == "thm1":
+        result = extend_theorem1(_need_involuted(bundle), ExtensionMode(args.mode))
     elif args.theorem == "thm2":
         result = extend_theorem2(_need_involuted(bundle), args.n)
     elif args.theorem == "thm3":
         result = extend_theorem3(bundle.poset, args.n, args.k)
-    elif args.theorem in ("lemma2", "thm5"):
+    else:  # lemma2 or thm5, the choices argparse leaves
         B = recognize_boolean(bundle.poset)
         if B is None:
             raise StructureError("input poset is not a Boolean algebra")
@@ -147,9 +118,8 @@ def cmd_extend(args):
             )
         else:
             result = extend_boolean_theorem5(B, args.n)
-    else:
-        raise StructureError(f"unknown construction {args.theorem!r}")
-    return _emit_result(args, result)
+    out = files.Bundle(result.poset, result.involution, result.structure, result.provenance)
+    return _render(out, args.format), 0
 
 
 def cmd_classify(args):
@@ -175,11 +145,8 @@ def cmd_classify(args):
         B = recognize_boolean(p)
         verdicts["boolean"] = B is not None
         lines.append(f"boolean: {B is not None}")
-    if args.json:
-        _emit(args, json.dumps(verdicts, indent=2) + "\n")
-    else:
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if all(verdicts.values()) else 1
+    text = json.dumps(verdicts, indent=2) if args.json else "\n".join(lines)
+    return text + "\n", 0 if all(verdicts.values()) else 1
 
 
 def cmd_mine(args):
@@ -208,35 +175,18 @@ def cmd_mine(args):
         lines.append(f"nodes explored: {stats['nodes']}")
         for rule, count in stats["prunes"].items():
             lines.append(f"prunes[{rule}]: {count}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0 if outcome.satisfiable else 1
+    return "\n".join(lines) + "\n", 0 if outcome.satisfiable else 1
 
 
 def cmd_show(args):
-    bundle = _load(args.input, args.full_order)
-    if args.format == "dot":
-        _emit(args, export_dot(bundle.poset, bundle.involution))
-        return 0
-    if args.format == "json":
-        if bundle.structure is not None:
-            doc = files.structure_to_doc(bundle.structure, bundle.involution, bundle.provenance)
-        elif bundle.involution is not None:
-            doc = files.involuted_to_doc(InvolutedPoset(bundle.poset, bundle.involution))
-        else:
-            doc = files.poset_to_doc(bundle.poset)
-        _emit(args, _json(doc))
-        return 0
-    s = _need_structure(bundle)
-    _emit(args, render_tables(s, args.format))
-    return 0
+    return _render(_load(args.input, args.full_order), args.format), 0
 
 
 def cmd_diff(args):
     a = _need_structure(_load(args.first))
     b = _need_structure(_load(args.second))
     same = structural_equal(a, b)
-    _emit(args, ("structurally equal" if same else "structurally different") + "\n")
-    return 0 if same else 1
+    return ("structurally equal" if same else "structurally different") + "\n", 0 if same else 1
 
 
 def build_parser():
@@ -247,9 +197,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", "-i", required=True, help="structure file, '-' or builtin:<name>")
+    def common(p, required=True):
+        p.add_argument(
+            "--input", "-i", required=required, help="structure file, '-' or builtin:<name>"
+        )
         p.add_argument("--output", "-o", default="-", help="output file (default stdout)")
         p.add_argument(
             "--full-order",
@@ -267,9 +218,7 @@ def build_parser():
 
     p = sub.add_parser("extend", help="run one of the extension constructions")
     p.add_argument("theorem", choices=["thm1", "thm2", "thm3", "cor1", "lemma2", "thm5"])
-    p.add_argument("--input", "-i", help="input structure (not needed for cor1)")
-    p.add_argument("--output", "-o", default="-")
-    p.add_argument("--full-order", action="store_true")
+    common(p, required=False)  # cor1 takes no input
     p.add_argument(
         "--mode",
         choices=[m.value for m in ExtensionMode],
@@ -325,13 +274,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _validate(args)
-        return args.func(args)
-    except StructureError as exc:
+        text, code = args.func(args)
+        if args.output and args.output != "-":
+            with open(args.output, "w", encoding="utf-8") as out:
+                out.write(text)
+        else:
+            sys.stdout.write(text)
+    except (StructureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ forms are accepted back on input (so construction output round-trips).
 
 import json
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +29,7 @@ from .errors import (
     ReservedLabel,
     SchemaViolation,
 )
-from .involution import (
-    InvolutedPoset,
-    check_antitone_involution,
-    involution_from_mapping,
-)
+from .involution import Involution, check_antitone_involution, involution_from_mapping
 from .order import Poset, poset_from_covers, poset_from_relation
 from .residuation import ResiduatedStructure
 
@@ -40,21 +37,14 @@ _KNOWN_FIELDS = {"elements", "covers", "involution", "unit", "odot", "arrow", "p
 _GENERATED = re.compile(r"^#c[0-9]+$")
 
 
+@dataclass(frozen=True)
 class Bundle:
-    """Everything a structure file can carry; richest() picks the public type."""
+    """Everything a structure file can carry; the optional parts are None when absent."""
 
-    def __init__(self, poset, involution=None, structure=None, provenance=None):
-        self.poset = poset
-        self.involution = involution
-        self.structure = structure
-        self.provenance = provenance
-
-    def richest(self):
-        if self.structure is not None:
-            return self.structure
-        if self.involution is not None:
-            return InvolutedPoset(self.poset, self.involution)
-        return self.poset
+    poset: Poset
+    involution: Involution | None = None
+    structure: ResiduatedStructure | None = None
+    provenance: dict | None = None
 
 
 def _pointer(*segments):
@@ -64,7 +54,7 @@ def _pointer(*segments):
 
 def _expect(doc, key, kind):
     if key not in doc:
-        raise SchemaViolation(f"required field {key!r} is missing", "/")
+        raise SchemaViolation(f"required field {key!r} is missing")
     value = doc[key]
     if not isinstance(value, kind):
         raise SchemaViolation(f"field {key!r} has the wrong type", f"/{key}")
@@ -87,14 +77,14 @@ def _check_label(x, path):
 
 
 def parse_structure(doc, full_order=False) -> Bundle:
-    """Validate a decoded JSON document and build the richest structure.
+    """Validate a decoded JSON document and build its Bundle.
 
     With full_order=True the "covers" field is read as the complete
     order relation instead of the Hasse relation; it is closed and
     validated identically.
     """
     if not isinstance(doc, dict):
-        raise SchemaViolation("document must be a JSON object", "/")
+        raise SchemaViolation("document must be a JSON object")
     unknown = sorted(set(doc) - _KNOWN_FIELDS)
     if unknown:
         raise SchemaViolation(f"unknown field {unknown[0]!r}", _pointer(unknown[0]))
@@ -131,8 +121,7 @@ def parse_structure(doc, full_order=False) -> Bundle:
         if len(table_fields) != 3:
             missing = sorted({"unit", "odot", "arrow"} - set(table_fields))
             raise SchemaViolation(
-                f"residuated structures need unit/odot/arrow together; missing {missing[0]!r}",
-                "/",
+                f"residuated structures need unit/odot/arrow together; missing {missing[0]!r}"
             )
         unit = _expect(doc, "unit", str)
         if unit not in poset:
@@ -183,29 +172,22 @@ def load_structure(stream, full_order=False) -> Bundle:
     return parse_structure(doc, full_order=full_order)
 
 
-def poset_to_doc(p: Poset) -> dict:
-    return {
-        "elements": list(p.elements),
-        "covers": [[x, y] for x, y in p.covers()],
-    }
-
-
-def involuted_to_doc(ip: InvolutedPoset) -> dict:
-    doc = poset_to_doc(ip.poset)
-    doc["involution"] = {x: ip.involution(x) for x in ip.poset.elements}
+def to_doc(bundle: Bundle) -> dict:
+    """The document for a bundle: the schema's fields in order, optional ones when present."""
+    p = bundle.poset
+    doc = {"elements": list(p.elements), "covers": [[x, y] for x, y in p.covers()]}
+    if bundle.involution is not None:
+        doc["involution"] = {x: bundle.involution(x) for x in p.elements}
+    s = bundle.structure
+    if s is not None:
+        doc.update(unit=s.unit, odot=s.table_as_labels("odot"), arrow=s.table_as_labels("arrow"))
+    if bundle.provenance is not None:
+        doc["provenance"] = bundle.provenance
     return doc
 
 
 def structure_to_doc(s: ResiduatedStructure, involution=None, provenance=None) -> dict:
-    doc = poset_to_doc(s.poset)
-    if involution is not None:
-        doc["involution"] = {x: involution(x) for x in s.poset.elements}
-    doc["unit"] = s.unit
-    doc["odot"] = s.table_as_labels("odot")
-    doc["arrow"] = s.table_as_labels("arrow")
-    if provenance is not None:
-        doc["provenance"] = provenance
-    return doc
+    return to_doc(Bundle(s.poset, involution, s, provenance))
 
 
 def dump(doc: dict, stream):

@@ -154,22 +154,18 @@ def letter_cube_boolean():
     return B
 
 
-BUILTIN_POSETS = {
-    "n5": n5,
-    "kleene6": kleene_six,
-    "pseudokleene9": pseudo_kleene_nine,
-    "cube2": lambda: powerset_lattice(1),
-    "cube4": lambda: powerset_lattice(2),
-    "cube8": lambda: letter_cube_boolean().lattice,
-    "cube16": lambda: powerset_lattice(4),
-}
+def _complemented(B):
+    """A Boolean algebra as an involuted poset: its lattice with the complement."""
+    return involuted(B.lattice, B.complement)
 
-BUILTIN_INVOLUTIONS = {
-    "n5": lambda: n5_involuted().involution.mapping,
-    "kleene6": lambda: kleene_six_involuted().involution.mapping,
-    "pseudokleene9": lambda: pseudo_kleene_nine_involuted().involution.mapping,
-    "cube2": lambda: recognize_boolean(powerset_lattice(1)).complement.mapping,
-    "cube4": lambda: recognize_boolean(powerset_lattice(2)).complement.mapping,
-    "cube8": lambda: letter_cube_boolean().complement.mapping,
-    "cube16": lambda: recognize_boolean(powerset_lattice(4)).complement.mapping,
+
+# name -> factory of an InvolutedPoset; the CLI reads these as builtin:<name>
+BUILTINS = {
+    "n5": n5_involuted,
+    "kleene6": kleene_six_involuted,
+    "pseudokleene9": pseudo_kleene_nine_involuted,
+    "cube2": lambda: _complemented(cube_boolean(1)),
+    "cube4": lambda: _complemented(cube_boolean(2)),
+    "cube8": lambda: _complemented(letter_cube_boolean()),
+    "cube16": lambda: _complemented(cube_boolean(4)),
 }

@@ -7,8 +7,7 @@ import numpy as np
 
 from .errors import InvalidInvolution, InvariantViolation, UnknownLabel
 from .order import Poset, _isomorphisms
-from .report import VerificationReport
-from .residuation import _verdict
+from .report import VerificationReport, verdict
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,8 @@ def check_antitone_involution(p: Poset, f) -> VerificationReport:
     antitone = leq & ~leq[np.ix_(image, image)].T  # [x, y]: x <= y but not y' <= x'
     return VerificationReport(
         (
-            _verdict("involutive", involutive, p.elements),
-            _verdict("antitone", antitone, p.elements),
+            verdict("involutive", involutive, p.elements),
+            verdict("antitone", antitone, p.elements),
         )
     )
 

@@ -1,6 +1,8 @@
 """Pass/fail reports with concrete counterexample witnesses."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -49,3 +51,14 @@ def passed(name: str) -> Check:
 
 def failed(name: str, witness) -> Check:
     return Check(name, False, tuple(witness))
+
+
+def verdict(name: str, bad: np.ndarray, elements) -> Check:
+    """Pass when no cell of the boolean array bad is set, else fail at the first one.
+
+    np.argwhere scans in row-major order, so the witness is the first
+    violating tuple in element order.
+    """
+    if not bad.any():
+        return passed(name)
+    return failed(name, tuple(elements[i] for i in np.argwhere(bad)[0]))

@@ -16,15 +16,14 @@ from resposet.errors import (
     SchemaViolation,
 )
 from resposet.files import (
+    Bundle,
     dump,
-    involuted_to_doc,
     load_structure,
     parse_structure,
-    poset_to_doc,
     structure_to_doc,
+    to_doc,
 )
 from resposet.fixtures import n5, n5_involuted
-from resposet.involution import InvolutedPoset
 from resposet.residuation import ResiduatedStructure
 
 N5_DOC = {
@@ -45,20 +44,19 @@ class TestSchema:
         bundle = roundtrip(N5_DOC)
         assert bundle.poset == n5()
         assert bundle.involution is None
-        assert poset_to_doc(bundle.poset)["elements"] == N5_DOC["elements"]
+        assert to_doc(bundle)["elements"] == N5_DOC["elements"]
 
     def test_involuted_round_trip(self):
-        doc = involuted_to_doc(n5_involuted())
-        bundle = roundtrip(doc)
-        ip = bundle.richest()
-        assert isinstance(ip, InvolutedPoset)
-        assert ip.involution("a") == "b"
+        ip = n5_involuted()
+        bundle = roundtrip(to_doc(Bundle(ip.poset, ip.involution)))
+        assert bundle.poset == ip.poset and bundle.structure is None
+        assert bundle.involution("a") == "b"
 
     def test_structure_round_trip(self):
         res = extend_theorem1(n5_involuted(), ExtensionMode.REUSE_BOUNDS)
         doc = structure_to_doc(res.structure, res.involution, res.provenance)
         bundle = roundtrip(doc)
-        assert isinstance(bundle.richest(), ResiduatedStructure)
+        assert isinstance(bundle.structure, ResiduatedStructure)
         assert bundle.structure == res.structure
         assert bundle.provenance == res.provenance
 
@@ -142,11 +140,33 @@ class TestSchema:
         with pytest.raises(SchemaViolation):
             parse_structure([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2, 3], "document must be a JSON object"),
+            ({"covers": []}, "required field 'elements' is missing"),
+            (
+                dict(N5_DOC, unit="1", odot={}),
+                "residuated structures need unit/odot/arrow together; missing 'arrow'",
+            ),
+        ],
+    )
+    def test_whole_document_errors_point_at_the_root(self, tmp_path, capsys, doc, message):
+        # RFC 6901: "" is the whole document, "/" the member with the empty key
+        with pytest.raises(SchemaViolation) as exc:
+            parse_structure(doc)
+        assert exc.value.path == ""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["show", "-i", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 @pytest.fixture
 def n5_file(tmp_path):
     path = tmp_path / "n5.json"
-    doc = involuted_to_doc(n5_involuted())
+    ip = n5_involuted()
+    doc = to_doc(Bundle(ip.poset, ip.involution))
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -282,6 +302,23 @@ class TestCli:
         assert main(["show", "-i", str(out), "--format", "dot"]) == 0
         dot = capsys.readouterr().out
         assert dot.startswith("digraph") and "dashed" in dot
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv", "dot"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cor1", "--n", "5"],
+            ["thm1", "-i", "builtin:n5", "--mode", "reusebounds"],
+            ["thm5", "-i", "builtin:cube8", "--n", "2"],
+        ],
+    )
+    def test_show_prints_what_extend_prints(self, tmp_path, capsys, argv, fmt):
+        saved = tmp_path / "s.json"
+        assert main(["extend", *argv, "-o", str(saved)]) == 0
+        assert main(["extend", *argv, "--format", fmt]) == 0
+        extended = capsys.readouterr().out
+        assert main(["show", "-i", str(saved), "--format", fmt]) == 0
+        assert capsys.readouterr().out == extended
 
     def test_show_csv(self, n5_file, capsys):
         assert main(["show", "-i", n5_file, "--format", "json"]) == 0

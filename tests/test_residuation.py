@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from resposet import (
 from resposet.errors import NoBottom, UnknownLabel
 from resposet.fixtures import antichain, kleene_six, n5, n5_involuted, pseudo_kleene_nine
 from resposet.order import poset_from_covers
-from resposet.residuation import ResiduatedStructure, is_monotone
+from resposet.residuation import SLAB_CELLS, ResiduatedStructure, is_monotone
 
 
 def two_element_boolean():
@@ -83,6 +85,33 @@ class TestVerify:
         bad = corrupt(s, "odot", "0", "1", "1")
         report = verify_residuated(bad)
         assert not report.check("commutativity").passed
+
+    def test_triple_checks_stay_within_slabs(self):
+        s = chain_residuation(200, verify=False).structure
+        tracemalloc.start()
+        try:
+            assert verify_residuated(s).overall
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20  # one n^3 int64 cube alone is 61 MB
+
+    def test_slab_witness_is_first_in_element_order(self):
+        s = chain_residuation(150).structure
+        n = len(s.elements)
+        O = np.array(s.odot)
+        O[100, 120] = O[120, 100] = 50  # still commutative; breaks both triple checks
+        bad = ResiduatedStructure(s.poset, s.unit, O, np.array(s.arrow))
+        leq, A = s.poset.leq_matrix, s.arrow
+        cubes = {
+            "associativity": O[O, :] != O[:, O],
+            "adjointness": leq[O, :] != leq[:, A],
+        }
+        report = verify_residuated(bad)
+        for name, cube in cubes.items():
+            first = np.argwhere(cube)[0]
+            assert first[0] >= SLAB_CELLS // n**2  # past the first slab
+            assert report.check(name).witness == tuple(s.elements[i] for i in first)
 
 
 class TestDerivedNegation:
