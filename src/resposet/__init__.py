@@ -49,4 +49,15 @@ from .residuation import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BooleanAlgebra", "KleeneVerdict", "check_pseudo_kleene", "is_distributive",
+    "recognize_boolean", "ExtensionMode", "ExtensionResult", "boolean_residuation",
+    "chain_residuation", "extend_boolean_theorem5", "extend_theorem1", "extend_theorem2",
+    "extend_theorem3", "structural_equal", "StructureError", "Involution", "InvolutedPoset",
+    "check_antitone_involution", "enumerate_antitone_involutions", "involuted",
+    "involution_from_mapping", "MinerOutcome", "find_residuations", "find_residuations_naive",
+    "Poset", "chain_poset", "poset_from_covers", "poset_from_relation", "export_dot",
+    "render_tables", "Check", "VerificationReport", "ResiduatedStructure", "check_integrality",
+    "check_lemma1", "derived_negation", "replay_check", "residual_of", "structure_from_tables",
+    "verify_residuated",
+]

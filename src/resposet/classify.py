@@ -5,13 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInvolution, InvariantViolation, NotALattice
-from .involution import (
-    Involution,
-    _image_indices,
-    check_antitone_involution,
-    involution_from_mapping,
-)
+from .errors import InvariantViolation, NotALattice
+from .involution import Involution, check_antitone_involution, involuted
 from .order import Poset
 from .report import VerificationReport, verdict
 
@@ -45,14 +40,7 @@ def is_distributive(L: Poset):
     """
     if not L.is_lattice():
         raise NotALattice("distributivity is only defined for lattices")
-    meet, join = L._meet_table, L._join_table
-    for x in range(len(L)):
-        # [y, z]: x ^ (y v z)  vs  (x ^ y) v (x ^ z)
-        bad = meet[x, join] != join[meet[x][:, None], meet[x][None, :]]
-        if bad.any():
-            y, z = np.argwhere(bad)[0]
-            return False, (L.elements[x], L.elements[y], L.elements[z])
-    return True, None
+    return L._distributivity
 
 
 def check_pseudo_kleene(L: Poset, inv) -> KleeneVerdict:
@@ -63,13 +51,8 @@ def check_pseudo_kleene(L: Poset, inv) -> KleeneVerdict:
     """
     if not L.is_lattice():
         raise NotALattice("pseudo-Kleene classification needs a lattice")
-    if not isinstance(inv, Involution):
-        inv = involution_from_mapping(L, inv)
-    if not check_antitone_involution(L, inv).overall:
-        raise InvalidInvolution("the given map is not an antitone involution")
-
     meet, join = L._meet_table, L._join_table
-    neg = _image_indices(L, inv)
+    neg = np.array(involuted(L, inv).involution.image, dtype=np.int64)
     xs = np.arange(len(L))
     low, high = meet[xs, neg], join[xs, neg]  # x ^ x', x v x'
     # [x, y]-indexed violations of each identity
@@ -106,10 +89,7 @@ def recognize_boolean(L: Poset):
     if (count > 1).any():
         x = L.elements[int(np.argmax(count > 1))]
         raise InvariantViolation(f"{x!r} has several complements in a distributive lattice")
-    els = L.elements
-    complement = involution_from_mapping(
-        L, {x: els[j] for x, j in zip(els, complements.argmax(axis=1))}
-    )
+    complement = Involution(L.elements, tuple(complements.argmax(axis=1).tolist()))
     if not check_antitone_involution(L, complement).overall:
         raise InvariantViolation("the complement map is not an antitone involution")
     return BooleanAlgebra(L, bottom, top, complement)

@@ -2,8 +2,8 @@
 
 Exit codes: 0 = success / verification passed; 1 = a verification or
 classification came out negative (report still printed); 2 = input or
-usage error.  Each cmd_* returns (text, exit code) and main writes the
-text, once, to stdout or to --output.
+usage error; 3 = an unexpected internal error.  Each cmd_* returns (text,
+exit code) and main writes the text, once, to stdout or to --output.
 """
 
 import argparse
@@ -15,8 +15,7 @@ from . import files
 from .classify import check_pseudo_kleene, is_distributive, recognize_boolean
 from .constructions import (
     ExtensionMode,
-    ExtensionResult,
-    boolean_residuation,
+    _lemma2,
     chain_residuation,
     extend_boolean_theorem5,
     extend_theorem1,
@@ -38,6 +37,7 @@ from .residuation import (
 )
 
 NAIVE_MINER_MAX = 4  # naive oracle is factorial; guard the carrier size
+_ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r"})  # a label may hold a line break
 
 
 def _load(path, full_order=False) -> files.Bundle:
@@ -109,15 +109,7 @@ def cmd_extend(args):
         B = recognize_boolean(bundle.poset)
         if B is None:
             raise StructureError("input poset is not a Boolean algebra")
-        if args.theorem == "lemma2":
-            result = ExtensionResult(
-                boolean_residuation(B),
-                B.complement,
-                {x: x for x in B.elements},
-                {"construction": "lemma2", "parameters": {}},
-            )
-        else:
-            result = extend_boolean_theorem5(B, args.n)
+        result = _lemma2(B) if args.theorem == "lemma2" else extend_boolean_theorem5(B, args.n)
     out = files.Bundle(result.poset, result.involution, result.structure, result.provenance)
     return _render(out, args.format), 0
 
@@ -281,8 +273,12 @@ def main(argv=None):
         else:
             sys.stdout.write(text)
     except (StructureError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = str(exc), 2
+    except Exception as exc:  # a bug; exit 1 stays the code of a negative verdict
+        message, code = f"internal error ({type(exc).__name__}): {exc}", 3
+    else:
+        return code
+    print(f"error: {message}".translate(_ONE_LINE), file=sys.stderr)
     return code
 
 

@@ -23,10 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import BooleanAlgebra
-from .errors import ConstructionFailed, ModeUnsatisfiable, NTooSmall, ReservedLabel
-from .involution import Involution, InvolutedPoset, _image_indices, involuted
+from .errors import CarrierTooLarge, ConstructionFailed, ModeUnsatisfiable, NTooSmall, ReservedLabel
+from .involution import Involution, InvolutedPoset, involuted
 from .order import Poset, _isomorphisms
-from .residuation import ResiduatedStructure, derived_negation, verify_residuated
+from .residuation import ResiduatedStructure, _negation, verify_residuated
+
+# The most carrier elements a construction builds: 8 MB per int64 table,
+# five times the largest carrier of the tests and the benchmark.
+MAX_CARRIER = 1000
 
 
 class ExtensionMode(enum.Enum):
@@ -55,19 +59,23 @@ def _carrier(construction, p: Poset, involution, gaps):
     ``gaps`` lists the numbers i of the chain elements #ci in each gap,
     bottom-up: gaps[0] < p < gaps[1] when p keeps ``involution``, and
     gaps[0] < p x {1} < gaps[1] < dual(p) x {2} < gaps[2] when it is None.
+    The first and last gaps are equally long, so reversing the carrier maps
+    each #ci to #c(m+1-i); the copies of p are then mapped by ``involution``
+    or onto each other.
     """
-    m = max(i for gap in gaps for i in gap)
-    mapping = {f"#c{i}": f"#c{m + 1 - i}" for gap in gaps for i in gap}
+    n = len(p)
+    size = sum(map(len, gaps)) + (len(gaps) - 1) * n
+    if size > MAX_CARRIER:
+        raise CarrierTooLarge(f"{construction}: {size} carrier elements exceed the limit {MAX_CARRIER}")
     if involution is None:
         tagged = ((1, p.leq_matrix), (2, p.leq_matrix.T))
         copies = [([f"({x},{t})" for x in p.elements], leq) for t, leq in tagged]
-        mapping.update({f"({x},{t})": f"({x},{3 - t})" for x in p.elements for t in (1, 2)})
     else:
-        clash = next((x for x in p.elements if x in mapping), None)
+        reserved = {f"#c{i}" for gap in gaps for i in gap}
+        clash = next((x for x in p.elements if x in reserved), None)
         if clash is not None:
             raise ReservedLabel(f"{construction}: input label {clash!r} is reserved for the chain")
         copies = [(p.elements, p.leq_matrix)]
-        mapping.update(involution.pairs)
 
     def chain(gap):
         return [f"#c{i}" for i in gap], np.triu(np.ones((len(gap), len(gap)), dtype=bool))
@@ -83,8 +91,14 @@ def _carrier(construction, p: Poset, involution, gaps):
         leq[start:end, start:end] = block
         leq[start:end, end:] = True  # every later block lies above this one
         start = end
-    position = {x: k for k, x in enumerate(elements)}
-    return Poset(elements, leq), np.array([position[mapping[x]] for x in elements])
+    image = np.arange(size - 1, -1, -1)
+    first = len(gaps[0]) + np.arange(n)  # the indices of the first copy
+    if involution is None:
+        second = first + n + len(gaps[1])
+        image[first], image[second] = second, first
+    else:
+        image[first] = first[list(involution.image)]
+    return Poset(elements, leq), image
 
 
 def _theorem2_carrier(name, p: Poset, involution, n):
@@ -117,14 +131,14 @@ def _lattice_tables(q: Poset, inv):
 
 
 def _extension(construction, q, inv, tables, embedding, parameters, verify):
-    involution = Involution(tuple(zip(q.elements, (q.elements[j] for j in inv))))
+    involution = Involution(q.elements, tuple(inv.tolist()))
     involuted(q, involution)  # the carrier map must still be an antitone involution
     structure = ResiduatedStructure(q, q.bounds()[1], *tables)
     if verify:
         report = verify_residuated(structure)
         if not report.overall:
             raise ConstructionFailed(f"verification failed:\n{report}")
-        if derived_negation(structure) != involution.mapping:
+        if not np.array_equal(_negation(structure), inv):
             raise ConstructionFailed("derived negation differs from the involution")
     provenance = {"construction": construction, "parameters": parameters}
     return ExtensionResult(structure, involution, embedding, provenance)
@@ -149,7 +163,7 @@ def extend_theorem1(ip: InvolutedPoset, mode=ExtensionMode.ADD_FOUR, verify=True
         q, inv = _carrier("theorem1", p, ip.involution, ((1,), (4,)))
         low = 1 + p.index(bottom)
     elif mode is ExtensionMode.REUSE_FOUR:
-        q, inv = p, _image_indices(p, ip.involution)
+        q, inv = p, np.array(ip.involution.image, dtype=np.int64)
         low = p.index(_reuse_four_frame(ip)[1])
     else:
         raise ModeUnsatisfiable(f"unknown mode {mode!r}")
@@ -181,7 +195,7 @@ def chain_residuation(n: int, verify=True) -> ExtensionResult:
     if n < 3:
         raise NTooSmall(f"chain construction needs n >= 3, got {n}")
     empty = Poset((), np.zeros((0, 0), dtype=bool))
-    q, inv = _carrier("corollary1", empty, Involution(()), (range(1, n + 1), ()))
+    q, inv = _carrier("corollary1", empty, Involution((), ()), (range(1, n + 1), ()))
     return _extension("corollary1", q, inv, _frame_tables(q, inv, 1), {}, {"n": n}, verify)
 
 
@@ -215,10 +229,14 @@ def extend_theorem3(p: Poset, n: int, k: int = 0, verify=True) -> ExtensionResul
 
 def boolean_residuation(B: BooleanAlgebra, verify=True) -> ResiduatedStructure:
     """The classical residuation on a Boolean algebra: x . y = meet, x -> y = x' v y."""
-    p = B.lattice
-    inv = _image_indices(p, B.complement)
+    return _lemma2(B, verify).structure
+
+
+def _lemma2(B: BooleanAlgebra, verify=True) -> ExtensionResult:
+    """boolean_residuation with its involution, identity embedding and provenance."""
+    p, inv = B.lattice, np.array(B.complement.image, dtype=np.int64)
     identity = {x: x for x in p.elements}
-    return _extension("lemma2", p, inv, _lattice_tables(p, inv), identity, {}, verify).structure
+    return _extension("lemma2", p, inv, _lattice_tables(p, inv), identity, {}, verify)
 
 
 def extend_boolean_theorem5(B: BooleanAlgebra, n: int, verify=True) -> ExtensionResult:

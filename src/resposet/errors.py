@@ -38,9 +38,7 @@ class NotALattice(StructureError):
 
 
 class InvalidInvolution(StructureError):
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    pass
 
 
 class ModeUnsatisfiable(StructureError):
@@ -53,6 +51,10 @@ class NTooSmall(StructureError):
 
 class LimitZero(StructureError):
     pass
+
+
+class CarrierTooLarge(StructureError):
+    """A construction's carrier would exceed constructions.MAX_CARRIER elements."""
 
 
 class ConstructionFailed(StructureError):
@@ -73,6 +75,4 @@ class SchemaViolation(StructureError):
 
 
 class InvariantViolation(StructureError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass

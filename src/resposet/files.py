@@ -23,13 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvariantViolation,
-    MalformedDocument,
-    ReservedLabel,
-    SchemaViolation,
-)
-from .involution import Involution, check_antitone_involution, involution_from_mapping
+from .errors import MalformedDocument, ReservedLabel, SchemaViolation
+from .involution import Involution, involuted
 from .order import Poset, poset_from_covers, poset_from_relation
 from .residuation import ResiduatedStructure
 
@@ -107,13 +102,7 @@ def parse_structure(doc, full_order=False) -> Bundle:
             if x not in poset:
                 raise SchemaViolation(f"involution key {x!r} is not an element", "/involution")
             _string(y, _pointer("involution", x))
-        involution = involution_from_mapping(poset, mapping)
-        report = check_antitone_involution(poset, involution)
-        if not report.overall:
-            bad = report.failed()[0]
-            raise InvariantViolation(
-                f"involution violates {bad.name} at {bad.witness}", witness=bad.witness
-            )
+        involution = involuted(poset, mapping).involution
 
     structure = None
     table_fields = [f for f in ("unit", "odot", "arrow") if f in doc]
@@ -169,6 +158,9 @@ def load_structure(stream, full_order=False) -> Bundle:
         doc = json.load(stream)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting past the recursion limit, a huge integer, or bytes that are not UTF-8
+        raise MalformedDocument(f"cannot decode the document: {exc}") from exc
     return parse_structure(doc, full_order=full_order)
 
 

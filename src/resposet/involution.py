@@ -12,13 +12,14 @@ from .report import VerificationReport, verdict
 
 @dataclass(frozen=True)
 class Involution:
-    """A self-inverse map on a poset carrier, stored as label pairs.
+    """A self-inverse map on a carrier, stored as the index of each image.
 
-    The pairs follow the element order of the poset the involution was
-    built on, so two involutions on the same carrier compare by value.
+    elements[i] maps to elements[image[i]].  Two involutions on the same
+    carrier compare by value.
     """
 
-    pairs: tuple  # ((label, image), ...) in carrier element order
+    elements: tuple
+    image: tuple  # (index of the image of elements[0], ...)
 
     def __call__(self, x):
         try:
@@ -31,6 +32,10 @@ class Involution:
         return dict(self.pairs)
 
     @property
+    def pairs(self) -> tuple:
+        return tuple((x, self.elements[j]) for x, j in zip(self.elements, self.image))
+
+    @property
     def mapping(self) -> dict:
         return dict(self.pairs)
 
@@ -39,7 +44,7 @@ class Involution:
 
 
 def involution_from_mapping(p: Poset, mapping: dict) -> Involution:
-    """Wrap a label->label dict as an Involution in p's element order.
+    """Wrap a label->label dict as an Involution on p's elements.
 
     Only totality/label sanity is checked here; use
     check_antitone_involution for the axioms.
@@ -52,29 +57,29 @@ def involution_from_mapping(p: Poset, mapping: dict) -> Involution:
     missing = [x for x in p.elements if x not in mapping]
     if missing:
         raise UnknownLabel(f"involution is not total; missing {missing[0]!r}")
-    return Involution(tuple((x, mapping[x]) for x in p.elements))
+    return Involution(p.elements, tuple(p.index(mapping[x]) for x in p.elements))
 
 
-def _image_indices(p: Poset, f) -> np.ndarray:
-    """f as an index array over p's elements: f(elements[i]) = elements[out[i]]."""
-    return np.array([p.index(f(x)) for x in p.elements], dtype=np.int64)
+def _antitone(leq: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """[x, y]: x <= y but not f(y) <= f(x), for an index map f over leq's elements."""
+    return leq & ~leq[np.ix_(f, f)].T
 
 
 def check_antitone_involution(p: Poset, f) -> VerificationReport:
     """Check the two axioms: f(f(x)) = x, and x <= y implies f(y) <= f(x).
 
-    ``f`` may be an Involution or a plain mapping.  Each axiom becomes one
-    named check; the first violating tuple in element order is the witness.
+    ``f`` may be an Involution on p's elements or a plain mapping.  Each axiom
+    becomes one named check; the first violating tuple in element order is the witness.
     """
-    mapping = f.mapping if isinstance(f, Involution) else dict(f)
-    image = _image_indices(p, involution_from_mapping(p, mapping))
-    leq = p.leq_matrix
-    involutive = image[image] != np.arange(len(p))
-    antitone = leq & ~leq[np.ix_(image, image)].T  # [x, y]: x <= y but not y' <= x'
+    if not isinstance(f, Involution):
+        f = involution_from_mapping(p, f)
+    image, n = np.array(f.image, dtype=np.int64), len(p)
+    if f.elements != p.elements or image.shape != (n,) or ((image < 0) | (image >= n)).any():
+        raise UnknownLabel("the involution is not a map on this poset's elements")
     return VerificationReport(
         (
-            verdict("involutive", involutive, p.elements),
-            verdict("antitone", antitone, p.elements),
+            verdict("involutive", image[image] != np.arange(n), p.elements),
+            verdict("antitone", _antitone(p.leq_matrix, image), p.elements),
         )
     )
 
@@ -89,10 +94,7 @@ class InvolutedPoset:
     def __post_init__(self):
         report = check_antitone_involution(self.poset, self.involution)
         if not report.overall:
-            bad = report.failed()[0]
-            raise InvalidInvolution(
-                f"not an antitone involution: {bad}", report=report
-            )
+            raise InvalidInvolution(f"not an antitone involution: {report.failed()[0]}")
 
     @property
     def elements(self):
@@ -112,12 +114,8 @@ def enumerate_antitone_involutions(p: Poset):
     its dual, so this is order._isomorphisms(leq, leq.T, involutive=True),
     the search that also serves the poset catalog and structural_equal.
     """
-    els = p.elements
-    results = [
-        Involution(tuple(zip(els, (els[j] for j in image))))
-        for image in _isomorphisms(p.leq_matrix, p.leq_matrix.T, involutive=True)
-    ]
-    results.sort(key=lambda inv: tuple(p.index(b) for _, b in inv.pairs))
+    found = _isomorphisms(p.leq_matrix, p.leq_matrix.T, involutive=True)
+    results = [Involution(p.elements, image) for image in sorted(tuple(f.tolist()) for f in found)]
     for inv in results:
         # every emitted involution re-validates against the axioms
         if not check_antitone_involution(p, inv).overall:

@@ -26,8 +26,8 @@ from .errors import LimitZero, Unbounded
 from .involution import InvolutedPoset
 from .residuation import (
     ResiduatedStructure,
+    _negation,
     _residuals,
-    derived_negation,
     verify_residuated,
 )
 
@@ -52,7 +52,7 @@ def _leaf(ip: InvolutedPoset, top, table: np.ndarray, require_negation):
     s = ResiduatedStructure(ip.poset, top, table, arrow)
     if not verify_residuated(s).overall:
         return "verification"
-    if require_negation and derived_negation(s) != ip.involution.mapping:
+    if require_negation and not np.array_equal(_negation(s), ip.involution.image):
         return "negation-mismatch"
     return s
 
@@ -103,7 +103,7 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     allowed = leq[:, :, None] & leq[:, None, :]
     if require_negation:
         # ... and v is the bottom exactly when i <= j' (negation-zero)
-        inv = [p.index(ip.involution(x)) for x in p.elements]
+        inv = np.array(ip.involution.image, dtype=np.int64)
         is_bottom = np.arange(n) == p.index(p.bounds()[0])
         allowed &= is_bottom[:, None, None] == leq[None, :, inv]
     candidates = [np.flatnonzero(c).tolist() for c in allowed[:, cells[:, 0], cells[:, 1]].T]

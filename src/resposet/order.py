@@ -68,21 +68,11 @@ class Poset:
     def leq(self, x: Label, y: Label) -> bool:
         return bool(self.leq_matrix[self.index(x), self.index(y)])
 
-    def lt(self, x: Label, y: Label) -> bool:
-        return x != y and self.leq(x, y)
-
-    def covers_matrix(self) -> np.ndarray:
-        """Transitive reduction of the strict order, as a boolean matrix."""
-        strict = self.leq_matrix & ~np.eye(len(self), dtype=bool)
-        return strict & ~(strict @ strict)
-
     def covers(self) -> list:
-        """Cover pairs (x, y) with y covering x, in element order."""
-        red = self.covers_matrix()
-        return [
-            (self.elements[i], self.elements[j])
-            for i, j in np.argwhere(red)
-        ]
+        """Cover pairs (x, y) with y covering x, in element order: the transitive reduction."""
+        strict = self.leq_matrix & ~np.eye(len(self), dtype=bool)
+        red = strict & ~(strict @ strict)
+        return [(self.elements[i], self.elements[j]) for i, j in np.argwhere(red)]
 
     @cached_property
     def _meet_table(self) -> np.ndarray:
@@ -93,6 +83,18 @@ class Poset:
     def _join_table(self) -> np.ndarray:
         """join[i, j]: index of the least upper bound, -1 where there is none."""
         return _frozen(_greatest_lower_bounds(self.leq_matrix.T))
+
+    @cached_property
+    def _distributivity(self):
+        """(verdict, witness) of classify.is_distributive, scanned once per lattice."""
+        meet, join = self._meet_table, self._join_table
+        for x in range(len(self)):
+            # [y, z]: x ^ (y v z)  vs  (x ^ y) v (x ^ z)
+            bad = meet[x, join] != join[meet[x][:, None], meet[x][None, :]]
+            if bad.any():
+                y, z = np.argwhere(bad)[0]
+                return False, (self.elements[x], self.elements[y], self.elements[z])
+        return True, None
 
     def meet(self, x: Label, y: Label):
         """Greatest lower bound of x and y, or None when it does not exist."""
@@ -124,14 +126,6 @@ class Poset:
         if row_all.any():
             top = self.elements[int(np.argmax(row_all))]
         return bottom, top
-
-    def downset(self, x: Label) -> list:
-        i = self.index(x)
-        return [self.elements[j] for j in np.nonzero(self.leq_matrix[:, i])[0]]
-
-    def upset(self, x: Label) -> list:
-        i = self.index(x)
-        return [self.elements[j] for j in np.nonzero(self.leq_matrix[i, :])[0]]
 
 
 def _greatest_lower_bounds(leq: np.ndarray) -> np.ndarray:

@@ -53,22 +53,17 @@ def _dot_id(label):
 def export_dot(p: Poset, involution=None) -> str:
     """DOT digraph of the cover relation, drawn upward; involution dashed."""
     lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=plaintext];"]
-    for x in p.elements:
-        attrs = ""
-        if involution is not None and involution(x) == x:
-            attrs = ' [xlabel="self-inverse"]'
+    image = range(len(p)) if involution is None else involution.image
+    for i, x in enumerate(p.elements):
+        attrs = ' [xlabel="self-inverse"]' if involution is not None and image[i] == i else ""
         lines.append(f"  {_dot_id(x)}{attrs};")
     for x, y in p.covers():
         lines.append(f"  {_dot_id(x)} -> {_dot_id(y)};")
-    if involution is not None:
-        done = set()
-        for x in p.elements:
-            y = involution(x)
-            if x != y and (y, x) not in done:
-                done.add((x, y))
-                lines.append(
-                    f"  {_dot_id(x)} -> {_dot_id(y)} "
-                    "[dir=none, style=dashed, constraint=false];"
-                )
+    for i, j in enumerate(image):
+        if i < j:  # each swapped pair once, at its first element
+            lines.append(
+                f"  {_dot_id(p.elements[i])} -> {_dot_id(p.elements[j])} "
+                "[dir=none, style=dashed, constraint=false];"
+            )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBottom, UnknownLabel
+from .involution import _antitone
 from .order import Poset
 from .report import VerificationReport, failed, passed, verdict
 
@@ -66,7 +67,10 @@ class ResiduatedStructure:
 
 
 def structure_from_tables(p: Poset, unit: str, odot_map: dict, arrow_map: dict) -> ResiduatedStructure:
-    """Build a structure from nested label dicts {row: {col: value}}."""
+    """Build a structure from nested label dicts {row: {col: value}}.
+
+    The tests build their structures with it, so it stays public.
+    """
     n = len(p)
     p.index(unit)
     odot = np.zeros((n, n), dtype=np.int64)
@@ -145,11 +149,10 @@ def check_lemma1(s: ResiduatedStructure) -> VerificationReport:
     leq = s.poset.leq_matrix
     els = s.elements
     expansive = ~leq[np.arange(len(els)), neg[neg]]
-    antitone = leq & ~leq[np.ix_(neg, neg)].T  # [x, y]: x <= y but not y' <= x'
     return VerificationReport(
         (
             verdict("double-negation-expansive", expansive, els),
-            verdict("negation-antitone", antitone, els),
+            verdict("negation-antitone", _antitone(leq, neg), els),
         )
     )
 
@@ -184,13 +187,19 @@ def _residuals(leq: np.ndarray, odot: np.ndarray) -> np.ndarray:
 
 
 def residual_of(p: Poset, odot: np.ndarray, b, c):
-    """Greatest a with a . b <= c, or None when the set has no greatest element."""
+    """Greatest a with a . b <= c, or None when the set has no greatest element.
+
+    A reference oracle: the tests compare it with the arrow tables.
+    """
     k = _residuals(p.leq_matrix, odot[:, [p.index(b)]])[0, p.index(c)]
     return None if k < 0 else p.elements[k]
 
 
 def is_monotone(p: Poset, odot: np.ndarray) -> bool:
-    """a <= b implies a . c <= b . c, over all triples."""
+    """a <= b implies a . c <= b . c, over all triples.
+
+    A reference oracle for the tests; verify_residuated does not check it.
+    """
     leq = p.leq_matrix
     # [a, b, c]: leq[a, b] -> leq[O[a, c], O[b, c]]
     ok = ~leq[:, :, None] | leq[odot[:, None, :], odot[None, :, :]]
@@ -218,5 +227,8 @@ REPLAY = {
 
 
 def replay_check(s: ResiduatedStructure, name: str, witness) -> bool:
-    """Re-evaluate the named axiom on a witness tuple; False reproduces the failure."""
+    """Re-evaluate the named axiom on a witness tuple; False reproduces the failure.
+
+    A reference oracle: the tests replay every reported witness with it.
+    """
     return REPLAY[name](s, tuple(witness))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -20,7 +21,8 @@ from resposet import (
     structural_equal,
     verify_residuated,
 )
-from resposet.errors import ModeUnsatisfiable, NTooSmall
+from resposet.constructions import MAX_CARRIER
+from resposet.errors import CarrierTooLarge, ModeUnsatisfiable, NTooSmall
 from resposet.fixtures import (
     antichain,
     chain_involuted,
@@ -362,6 +364,33 @@ class TestTheorem5:
     def test_n_too_small(self):
         with pytest.raises(NTooSmall):
             extend_boolean_theorem5(letter_cube_boolean(), 0)
+
+
+class TestCarrierLimit:
+    # each request asks for the smallest carrier above the limit: MAX_CARRIER + 1,
+    # or + 2 where the carrier size has the other parity
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: chain_residuation(MAX_CARRIER + 1),
+            lambda: extend_theorem2(n5_involuted(), (MAX_CARRIER - 4) // 2),  # 2n + 5
+            lambda: extend_theorem3(antichain(2), 2, MAX_CARRIER - 7),  # 2n + k + 4
+            lambda: extend_boolean_theorem5(letter_cube_boolean(), MAX_CARRIER // 2 - 3),  # 2n + 8
+        ],
+        ids=["cor1", "thm2", "thm3", "thm5"],
+    )
+    def test_rejected_before_any_array(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CarrierTooLarge, match=f"exceed the limit {MAX_CARRIER}"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # the carrier's leq matrix alone would take 1 MB
+
+    def test_limit_itself_is_built(self):
+        assert len(chain_residuation(MAX_CARRIER, verify=False).poset) == MAX_CARRIER
 
 
 class TestStructuralEquality:

@@ -2,15 +2,18 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from resposet import (
     ExtensionMode,
+    Poset,
     chain_residuation,
     extend_theorem1,
 )
 from resposet.cli import main
+from resposet.constructions import MAX_CARRIER
 from resposet.errors import (
-    InvariantViolation,
+    InvalidInvolution,
     MalformedDocument,
     ReservedLabel,
     SchemaViolation,
@@ -127,9 +130,9 @@ class TestSchema:
             parse_structure(dict(doc, **change))
         assert exc.value.path == pointer
 
-    def test_bad_involution_is_invariant_violation(self):
+    def test_bad_involution_is_invalid_involution(self):
         doc = dict(N5_DOC, involution={x: x for x in N5_DOC["elements"]})
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvalidInvolution):
             parse_structure(doc)
 
     def test_malformed_json(self):
@@ -253,6 +256,7 @@ class TestCli:
             ["extend", "thm5", "-i", "builtin:cube8", "--n", "0"],
             ["mine", "-i", "builtin:n5", "--limit", "0"],
             ["mine", "-i", "builtin:cube2", "--naive", "--limit", "0"],
+            ["extend", "cor1", "--n", str(MAX_CARRIER + 1)],
         ],
     )
     def test_missing_or_out_of_range_parameter_exits_two(self, capsys, argv):
@@ -379,6 +383,55 @@ class TestCli:
         assert err.startswith(f"error: {pointer}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"[" * 100_000 + b"]" * 100_000,  # nesting past the recursion limit
+            b'{"elements": [' + b"9" * 5000 + b'], "covers": []}',  # past the int digit limit
+            b'{"elements": ["\xff"], "covers": []}',  # not UTF-8
+        ],
+        ids=["deep", "huge-int", "not-utf8"],
+    )
+    def test_undecodable_document_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        assert main(["show", "-i", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot decode the document: ")
+        assert err.count("\n") == 1
+
+    def test_error_with_a_line_break_stays_one_line(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"elements": [], "covers": [], "a\nb": 1}))
+        assert main(["show", "-i", str(path)]) == 2
+        assert capsys.readouterr().err == "error: /a\\nb: unknown field 'a\\nb'\n"
+
+    def test_bad_involution_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(N5_DOC, involution={x: x for x in N5_DOC["elements"]})))
+        assert main(["classify", "-i", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: not an antitone involution: antitone: FAIL witness=('0', 'a')\n"
+        )
+
+    def test_unexpected_exception_exits_three(self, monkeypatch, capsys):
+        def broken(p):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("resposet.cli.enumerate_antitone_involutions", broken)
+        assert main(["involutions", "-i", "builtin:n5"]) == 3
+        assert capsys.readouterr().err == "error: internal error (RuntimeError): boom\n"
+
+    def test_classify_scans_distributivity_once(self, monkeypatch, capsys):
+        # is_distributive is asked four times: by the builtin factory's
+        # recognize_boolean, by cmd_classify, check_pseudo_kleene and recognize_boolean
+        prop = Poset.__dict__["_distributivity"]
+        scans = []
+        scan = prop.func
+        monkeypatch.setattr(prop, "func", lambda p: scans.append(p) or scan(p))
+        assert main(["classify", "-i", "builtin:cube16"]) == 0
+        assert len(scans) == 1
+
     def test_full_order_flag(self, tmp_path, capsys):
         p = n5()
         doc = {
@@ -392,3 +445,56 @@ class TestCli:
         code = main(["involutions", "-i", str(path), "--full-order"])
         assert code == 0
         assert "count: 1" in capsys.readouterr().out
+
+
+# Documents for the fuzz test: any JSON value, and documents close to the
+# schema (labels from a small pool, fields that may be missing, mistyped or
+# inconsistent).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+LABELS = st.sampled_from(["0", "a", "b", "c", "1"])
+ODD_LABELS = st.sampled_from(["#c1", "#x", ""])  # a generated label, a reserved one, the empty one
+
+
+@st.composite
+def near_schema(draw):
+    def often():  # three times in four: keep this part of the document well formed
+        return draw(st.integers(0, 3)) > 0
+
+    labels = LABELS if often() else LABELS | ODD_LABELS
+    elements = draw(st.lists(labels, min_size=often(), max_size=5, unique=often()))
+    pool = st.sampled_from(elements) if elements else LABELS
+    label = pool if often() else pool | ODD_LABELS | JSON_VALUES
+    chain = [[x, y] for x, y in zip(elements, elements[1:])]
+    covers = st.lists(st.lists(label, min_size=2, max_size=2), max_size=5)
+    doc = {"elements": elements, "covers": chain if often() else draw(covers)}
+    if draw(st.booleans()):
+        reverse = dict(zip(elements, reversed(elements)))  # antitone on a chain
+        doc["involution"] = reverse if often() else draw(st.dictionaries(pool, label, max_size=5))
+    if draw(st.booleans()):
+        row = st.fixed_dictionaries({x: label for x in elements})
+        tables = st.fixed_dictionaries({x: row for x in elements})
+        if not often():
+            tables = st.dictionaries(pool, row | st.dictionaries(pool, label))
+        doc.update(unit=draw(label), odot=draw(tables), arrow=draw(tables))
+    if not often():
+        doc[draw(st.sampled_from(["provenance", "unit", "covers", "extra"]))] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.one_of(JSON_VALUES, near_schema()))
+def test_any_document_exits_zero_one_or_two(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("show", "verify", "involutions", "classify", "mine"):
+        code = main([command, "-i", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (command, err)
+        assert err.count("\n") == (code == 2)

@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 
 from resposet import (
+    Involution,
     InvolutedPoset,
     check_antitone_involution,
     enumerate_antitone_involutions,
@@ -10,7 +11,7 @@ from resposet import (
     involution_from_mapping,
 )
 from resposet.errors import InvalidInvolution, UnknownLabel
-from resposet.fixtures import chain, n5
+from resposet.fixtures import chain, n5, n5_involuted
 from resposet.order import poset_from_covers
 
 
@@ -60,6 +61,15 @@ class TestCheck:
     def test_partial_map_rejected(self):
         with pytest.raises(UnknownLabel):
             check_antitone_involution(chain(2), {"e1": "e2"})
+
+    @pytest.mark.parametrize(
+        "elements, image",
+        [(("f1", "f2"), (1, 0)), (("e1", "e2"), (2, 0)), (("e1", "e2"), (-1, 0)), (("e1", "e2"), (1,))],
+        ids=["other-carrier", "past-the-end", "negative", "short"],
+    )
+    def test_image_off_the_carrier_rejected(self, elements, image):
+        with pytest.raises(UnknownLabel):
+            check_antitone_involution(chain(2), Involution(elements, image))
 
     def test_involuted_poset_rejects_bad_map(self):
         with pytest.raises(InvalidInvolution):
@@ -128,3 +138,12 @@ class TestInvolutedPoset:
         inv = involution_from_mapping(p, {"e1": "e2", "e2": "e1"})
         assert inv.mapping == {"e1": "e2", "e2": "e1"}
         assert inv("e1") == "e2"
+
+    def test_stored_as_index_image(self):
+        inv = n5_involuted().involution
+        assert (inv.elements, inv.image) == (n5().elements, (4, 2, 1, 3, 0))
+        assert inv.pairs == (("0", "1"), ("a", "b"), ("b", "a"), ("c", "c"), ("1", "0"))
+        assert str(inv) == "{0->1, a->b, b->a, c->c, 1->0}"
+        assert inv == enumerate_antitone_involutions(n5())[0]
+        with pytest.raises(UnknownLabel):
+            inv("zz")
