@@ -6,23 +6,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, NotALattice
-from .involution import Involution, check_antitone_involution, involuted
+from .involution import Involution, InvolutedPoset, involuted
 from .order import Poset
 from .report import VerificationReport, verdict
 
 
 @dataclass(frozen=True)
-class BooleanAlgebra:
-    """A bounded distributive lattice with a complement involution."""
+class BooleanAlgebra(InvolutedPoset):
+    """A bounded distributive lattice with its complement as the involution."""
 
-    lattice: Poset
     bottom: str
     top: str
-    complement: Involution
 
     @property
-    def elements(self):
-        return self.lattice.elements
+    def lattice(self) -> Poset:
+        return self.poset
+
+    @property
+    def complement(self) -> Involution:
+        return self.involution
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,4 @@ def recognize_boolean(L: Poset):
         x = L.elements[int(np.argmax(count > 1))]
         raise InvariantViolation(f"{x!r} has several complements in a distributive lattice")
     complement = Involution(L.elements, tuple(complements.argmax(axis=1).tolist()))
-    if not check_antitone_involution(L, complement).overall:
-        raise InvariantViolation("the complement map is not an antitone involution")
-    return BooleanAlgebra(L, bottom, top, complement)
+    return BooleanAlgebra(L, complement, bottom, top)

@@ -40,7 +40,7 @@ NAIVE_MINER_MAX = 4  # naive oracle is factorial; guard the carrier size
 _ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r"})  # a label may hold a line break
 
 
-def _load(path, full_order=False) -> files.Bundle:
+def _load(path) -> files.Bundle:
     if path.startswith("builtin:"):
         name = path.split(":", 1)[1]
         if name not in BUILTINS:
@@ -48,11 +48,11 @@ def _load(path, full_order=False) -> files.Bundle:
                 f"unknown builtin {name!r}; available: {', '.join(sorted(BUILTINS))}"
             )
         ip = BUILTINS[name]()
-        return files.Bundle(ip.poset, ip.involution)
+        return files.Bundle(ip.poset, ip)
     if path == "-":
-        return files.load_structure(sys.stdin, full_order=full_order)
+        return files.load_structure(sys.stdin)
     with open(path, encoding="utf-8") as fh:
-        return files.load_structure(fh, full_order=full_order)
+        return files.load_structure(fh)
 
 
 def _need_structure(bundle) -> ResiduatedStructure:
@@ -62,13 +62,13 @@ def _need_structure(bundle) -> ResiduatedStructure:
 
 
 def _need_involuted(bundle) -> InvolutedPoset:
-    if bundle.involution is None:
+    if bundle.involuted is None:
         raise StructureError("this command needs an involution")
-    return InvolutedPoset(bundle.poset, bundle.involution)
+    return bundle.involuted
 
 
 def _render(bundle, fmt) -> str:
-    """The text of show and extend: the same bundle gives the same bytes."""
+    """The text of show (a Bundle) and extend (an ExtensionResult): one structure, one text."""
     if fmt == "dot":
         return export_dot(bundle.poset, bundle.involution)
     if fmt == "json":
@@ -79,7 +79,7 @@ def _render(bundle, fmt) -> str:
 
 
 def cmd_verify(args):
-    s = _need_structure(_load(args.input, args.full_order))
+    s = _need_structure(_load(args.input))
     checks = verify_residuated(s).checks
     if s.poset.bounds()[0] is not None:
         checks += check_lemma1(s).checks
@@ -88,7 +88,7 @@ def cmd_verify(args):
 
 
 def cmd_involutions(args):
-    bundle = _load(args.input, args.full_order)
+    bundle = _load(args.input)
     found = enumerate_antitone_involutions(bundle.poset)
     lines = [str(inv) for inv in found]
     lines.append(f"count: {len(found)}")
@@ -96,7 +96,7 @@ def cmd_involutions(args):
 
 
 def cmd_extend(args):
-    bundle = None if args.theorem == "cor1" else _load(args.input, args.full_order)
+    bundle = None if args.theorem == "cor1" else _load(args.input)
     if args.theorem == "cor1":
         result = chain_residuation(args.n)
     elif args.theorem == "thm1":
@@ -110,12 +110,11 @@ def cmd_extend(args):
         if B is None:
             raise StructureError("input poset is not a Boolean algebra")
         result = _lemma2(B) if args.theorem == "lemma2" else extend_boolean_theorem5(B, args.n)
-    out = files.Bundle(result.poset, result.involution, result.structure, result.provenance)
-    return _render(out, args.format), 0
+    return _render(result, args.format), 0
 
 
 def cmd_classify(args):
-    bundle = _load(args.input, args.full_order)
+    bundle = _load(args.input)
     p = bundle.poset
     verdicts = {}
     lines = []
@@ -142,7 +141,7 @@ def cmd_classify(args):
 
 
 def cmd_mine(args):
-    bundle = _load(args.input, args.full_order)
+    bundle = _load(args.input)
     ip = _need_involuted(bundle)
     if args.naive:
         if len(ip.poset) > NAIVE_MINER_MAX:
@@ -171,7 +170,7 @@ def cmd_mine(args):
 
 
 def cmd_show(args):
-    return _render(_load(args.input, args.full_order), args.format), 0
+    return _render(_load(args.input), args.format), 0
 
 
 def cmd_diff(args):
@@ -194,11 +193,6 @@ def build_parser():
             "--input", "-i", required=required, help="structure file, '-' or builtin:<name>"
         )
         p.add_argument("--output", "-o", default="-", help="output file (default stdout)")
-        p.add_argument(
-            "--full-order",
-            action="store_true",
-            help="read 'covers' as the complete order relation",
-        )
 
     p = sub.add_parser("verify", help="check the residuated-poset axioms")
     common(p)

@@ -54,7 +54,7 @@ class LimitZero(StructureError):
 
 
 class CarrierTooLarge(StructureError):
-    """A construction's carrier would exceed constructions.MAX_CARRIER elements."""
+    """A carrier would exceed constructions.MAX_CARRIER or miner.MAX_CARRIER elements."""
 
 
 class ConstructionFailed(StructureError):

@@ -12,6 +12,8 @@ One schema serves all structure kinds by progressive enrichment:
       "provenance": {...}                       optional, free-form
     }
 
+The order is the reflexive-transitive closure of "covers", so the field
+may list the Hasse relation, the whole order or anything in between.
 Unknown fields are rejected.  Labels starting with "#" are reserved for
 construction-generated chain elements and only the canonical "#c<i>"
 forms are accepted back on input (so construction output round-trips).
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedDocument, ReservedLabel, SchemaViolation
-from .involution import Involution, involuted
-from .order import Poset, poset_from_covers, poset_from_relation
+from .involution import Involution, InvolutedPoset, involuted
+from .order import Poset, poset_from_relation
 from .residuation import ResiduatedStructure
 
 _KNOWN_FIELDS = {"elements", "covers", "involution", "unit", "odot", "arrow", "provenance"}
@@ -37,9 +39,13 @@ class Bundle:
     """Everything a structure file can carry; the optional parts are None when absent."""
 
     poset: Poset
-    involution: Involution | None = None
+    involuted: InvolutedPoset | None = None  # the involution, checked once on the poset
     structure: ResiduatedStructure | None = None
     provenance: dict | None = None
+
+    @property
+    def involution(self) -> Involution | None:
+        return None if self.involuted is None else self.involuted.involution
 
 
 def _pointer(*segments):
@@ -71,13 +77,8 @@ def _check_label(x, path):
     return x
 
 
-def parse_structure(doc, full_order=False) -> Bundle:
-    """Validate a decoded JSON document and build its Bundle.
-
-    With full_order=True the "covers" field is read as the complete
-    order relation instead of the Hasse relation; it is closed and
-    validated identically.
-    """
+def parse_structure(doc) -> Bundle:
+    """Validate a decoded JSON document and build its Bundle."""
     if not isinstance(doc, dict):
         raise SchemaViolation("document must be a JSON object")
     unknown = sorted(set(doc) - _KNOWN_FIELDS)
@@ -92,17 +93,16 @@ def parse_structure(doc, full_order=False) -> Bundle:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaViolation("covers entries must be 2-arrays", f"/covers/{i}")
         pairs.append((_string(pair[0], f"/covers/{i}/0"), _string(pair[1], f"/covers/{i}/1")))
-    build = poset_from_relation if full_order else poset_from_covers
-    poset = build(elements, pairs)
+    poset = poset_from_relation(elements, pairs)
 
-    involution = None
+    ip = None
     if "involution" in doc:
         mapping = _expect(doc, "involution", dict)
         for x, y in mapping.items():
             if x not in poset:
                 raise SchemaViolation(f"involution key {x!r} is not an element", "/involution")
             _string(y, _pointer("involution", x))
-        involution = involuted(poset, mapping).involution
+        ip = involuted(poset, mapping)
 
     structure = None
     table_fields = [f for f in ("unit", "odot", "arrow") if f in doc]
@@ -122,7 +122,7 @@ def parse_structure(doc, full_order=False) -> Bundle:
     provenance = doc.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
         raise SchemaViolation("provenance must be an object", "/provenance")
-    return Bundle(poset, involution, structure, provenance)
+    return Bundle(poset, ip, structure, provenance)
 
 
 def _read_table(doc, key, poset):
@@ -153,7 +153,7 @@ def _read_table(doc, key, poset):
     return matrix
 
 
-def load_structure(stream, full_order=False) -> Bundle:
+def load_structure(stream) -> Bundle:
     try:
         doc = json.load(stream)
     except json.JSONDecodeError as exc:
@@ -161,11 +161,11 @@ def load_structure(stream, full_order=False) -> Bundle:
     except (RecursionError, ValueError) as exc:
         # nesting past the recursion limit, a huge integer, or bytes that are not UTF-8
         raise MalformedDocument(f"cannot decode the document: {exc}") from exc
-    return parse_structure(doc, full_order=full_order)
+    return parse_structure(doc)
 
 
-def to_doc(bundle: Bundle) -> dict:
-    """The document for a bundle: the schema's fields in order, optional ones when present."""
+def to_doc(bundle) -> dict:
+    """The document for a Bundle or ExtensionResult: the schema's fields in order."""
     p = bundle.poset
     doc = {"elements": list(p.elements), "covers": [[x, y] for x, y in p.covers()]}
     if bundle.involution is not None:
@@ -179,7 +179,9 @@ def to_doc(bundle: Bundle) -> dict:
 
 
 def structure_to_doc(s: ResiduatedStructure, involution=None, provenance=None) -> dict:
-    return to_doc(Bundle(s.poset, involution, s, provenance))
+    """The document for s; ``involution`` (an Involution or a mapping) is checked on s.poset."""
+    ip = None if involution is None else involuted(s.poset, involution)
+    return to_doc(Bundle(s.poset, ip, s, provenance))
 
 
 def dump(doc: dict, stream):

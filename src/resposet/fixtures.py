@@ -154,18 +154,13 @@ def letter_cube_boolean():
     return B
 
 
-def _complemented(B):
-    """A Boolean algebra as an involuted poset: its lattice with the complement."""
-    return involuted(B.lattice, B.complement)
-
-
 # name -> factory of an InvolutedPoset; the CLI reads these as builtin:<name>
 BUILTINS = {
     "n5": n5_involuted,
     "kleene6": kleene_six_involuted,
     "pseudokleene9": pseudo_kleene_nine_involuted,
-    "cube2": lambda: _complemented(cube_boolean(1)),
-    "cube4": lambda: _complemented(cube_boolean(2)),
-    "cube8": lambda: _complemented(letter_cube_boolean()),
-    "cube16": lambda: _complemented(cube_boolean(4)),
+    "cube2": lambda: cube_boolean(1),
+    "cube4": lambda: cube_boolean(2),
+    "cube8": letter_cube_boolean,
+    "cube16": lambda: cube_boolean(4),
 }

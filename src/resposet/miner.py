@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import LimitZero, Unbounded
+from .errors import CarrierTooLarge, LimitZero, Unbounded
 from .involution import InvolutedPoset
 from .residuation import (
     ResiduatedStructure,
@@ -30,6 +30,11 @@ from .residuation import (
     _residuals,
     verify_residuated,
 )
+
+# The most carrier elements the miner searches.  Its set-up holds n^3
+# candidate flags and lists: a peak of about 2.9 MB at 100 elements,
+# growing to gigabytes at the 1000 a construction may build.
+MAX_CARRIER = 100
 
 
 @dataclass
@@ -73,6 +78,8 @@ def _free_cells(ip: InvolutedPoset, require_negation, limit):
     if limit < 1:
         raise LimitZero("result limit must be positive")
     p = ip.poset
+    if len(p) > MAX_CARRIER:
+        raise CarrierTooLarge(f"miner: {len(p)} carrier elements exceed the limit {MAX_CARRIER}")
     bottom, top = p.bounds()
     if top is None:
         raise Unbounded("the miner needs a greatest element to serve as unit")

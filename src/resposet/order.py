@@ -176,26 +176,33 @@ def _isomorphisms(a: np.ndarray, b: np.ndarray, pinned=(), involutive=False):
         assigned.extend(pairs)
         return pairs
 
-    def search(i):
-        while i < n and image[i] >= 0:
-            i += 1
-        if i == n:
-            yield np.array(image, dtype=np.int64)
-            return
-        for j in range(n):
-            if fits(i, j):
-                pairs = place(i, j)
-                yield from search(i + 1)
-                for x, y in pairs:
-                    image[x], taken[y] = -1, False
-                del assigned[-len(pairs):]
-
     for i, j in pinned:
         if image[i] != j:
             if not fits(i, j):
                 return
             place(i, j)
-    yield from search(0)
+    # depth-first over an explicit stack, so a carrier deeper than the
+    # recursion limit is searched too; a level is [index, next candidate,
+    # the pairs placed for its current candidate]
+    stack = [[0, 0, ()]]
+    while stack:
+        level = stack[-1]
+        i, j, pairs = level
+        for x, y in pairs:
+            image[x], taken[y] = -1, False
+        del assigned[len(assigned) - len(pairs):]
+        while i < n and image[i] >= 0:
+            i += 1
+        if i == n:
+            yield np.array(image, dtype=np.int64)
+            j = n
+        while j < n and not fits(i, j):
+            j += 1
+        if j < n:
+            level[:] = i, j + 1, place(i, j)
+            stack.append([i + 1, 0, ()])
+        else:
+            stack.pop()
 
 
 def _check_labels(elements) -> tuple:
@@ -211,31 +218,22 @@ def _check_labels(elements) -> tuple:
 def poset_from_covers(elements, covers) -> Poset:
     """Build a poset from its Hasse (cover) relation.
 
-    The order is the reflexive-transitive closure of ``covers``.  Raises
-    CycleDetected when the closure would violate antisymmetry.
+    A cover relates two distinct labels, so a pair (x, x) raises
+    SelfCover; otherwise this is poset_from_relation.
     """
-    elements = _check_labels(elements)
-    index = {x: i for i, x in enumerate(elements)}
-    n = len(elements)
-    rel = np.eye(n, dtype=bool)
+    covers = list(covers)
     for x, y in covers:
         if x == y:
             raise SelfCover(f"cover ({x!r}, {y!r}) relates a label to itself")
-        if x not in index:
-            raise UnknownLabel(f"cover endpoint {x!r} is not listed in elements")
-        if y not in index:
-            raise UnknownLabel(f"cover endpoint {y!r} is not listed in elements")
-        rel[index[x], index[y]] = True
-    closure = _transitive_closure(rel)
-    _check_antisymmetric(elements, closure)
-    return Poset(elements, closure)
+    return poset_from_relation(elements, covers)
 
 
 def poset_from_relation(elements, pairs) -> Poset:
-    """Build a poset from an explicitly given order relation.
+    """Build the poset whose order is the reflexive-transitive closure of ``pairs``.
 
-    ``pairs`` may omit reflexive pairs; the relation is closed and then
-    validated exactly as in poset_from_covers.
+    ``pairs`` may be the cover relation, the whole order or anything in
+    between, with or without reflexive pairs.  Raises CycleDetected when
+    the closure would violate antisymmetry.
     """
     elements = _check_labels(elements)
     index = {x: i for i, x in enumerate(elements)}
@@ -243,9 +241,9 @@ def poset_from_relation(elements, pairs) -> Poset:
     rel = np.eye(n, dtype=bool)
     for x, y in pairs:
         if x not in index:
-            raise UnknownLabel(f"pair endpoint {x!r} is not listed in elements")
+            raise UnknownLabel(f"cover endpoint {x!r} is not listed in elements")
         if y not in index:
-            raise UnknownLabel(f"pair endpoint {y!r} is not listed in elements")
+            raise UnknownLabel(f"cover endpoint {y!r} is not listed in elements")
         rel[index[x], index[y]] = True
     closure = _transitive_closure(rel)
     _check_antisymmetric(elements, closure)

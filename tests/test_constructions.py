@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 import tracemalloc
 from itertools import permutations
 
@@ -421,6 +423,17 @@ class TestStructuralEquality:
         a = extend_theorem1(n5_involuted(), ExtensionMode.REUSE_BOUNDS).structure
         b = chain_residuation(7).structure
         assert not structural_equal(a, b)
+
+    def test_carrier_deeper_than_the_recursion_limit(self):
+        # the isomorphism search descends one level per element
+        s = chain_residuation(300, verify=False).structure
+        depth = len(inspect.stack())
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            assert structural_equal(s, s)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def _relabel(s, seed):

@@ -10,6 +10,7 @@ from resposet import (
     chain_residuation,
     extend_theorem1,
 )
+from resposet import involution
 from resposet.cli import main
 from resposet.constructions import MAX_CARRIER
 from resposet.errors import (
@@ -51,7 +52,7 @@ class TestSchema:
 
     def test_involuted_round_trip(self):
         ip = n5_involuted()
-        bundle = roundtrip(to_doc(Bundle(ip.poset, ip.involution)))
+        bundle = roundtrip(to_doc(Bundle(ip.poset, ip)))
         assert bundle.poset == ip.poset and bundle.structure is None
         assert bundle.involution("a") == "b"
 
@@ -71,7 +72,7 @@ class TestSchema:
                 [x, y] for x in p.elements for y in p.elements if p.leq(x, y)
             ],
         }
-        bundle = roundtrip(doc, full_order=True)
+        bundle = roundtrip(doc)
         assert bundle.poset == p
 
     def test_generated_labels_round_trip(self):
@@ -169,7 +170,7 @@ class TestSchema:
 def n5_file(tmp_path):
     path = tmp_path / "n5.json"
     ip = n5_involuted()
-    doc = to_doc(Bundle(ip.poset, ip.involution))
+    doc = to_doc(Bundle(ip.poset, ip))
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -432,6 +433,26 @@ class TestCli:
         assert main(["classify", "-i", "builtin:cube16"]) == 0
         assert len(scans) == 1
 
+    @pytest.mark.parametrize(
+        "argv, checks",
+        [
+            (["mine", "-i", "builtin:kleene6"], 1),  # the builtin's
+            (["extend", "thm2", "-i", "builtin:kleene6", "--n", "2"], 2),  # and the carrier's
+            (["show", "-i", "builtin:cube16", "--format", "json"], 1),  # the algebra's
+            # the algebra's, check_pseudo_kleene's argument, recognize_boolean's result
+            (["classify", "-i", "builtin:cube16"], 3),
+        ],
+    )
+    def test_each_involution_is_checked_once(self, monkeypatch, capsys, argv, checks):
+        # check_antitone_involution evaluates the antitone axiom through
+        # involution._antitone, wherever the check is called from
+        calls = []
+        antitone = involution._antitone
+        counted = lambda leq, f: calls.append(f) or antitone(leq, f)  # noqa: E731
+        monkeypatch.setattr(involution, "_antitone", counted)
+        assert main(argv) == 0
+        assert len(calls) == checks
+
     def test_full_order_flag(self, tmp_path, capsys):
         p = n5()
         doc = {
@@ -442,7 +463,7 @@ class TestCli:
         }
         path = tmp_path / "full.json"
         path.write_text(json.dumps(doc))
-        code = main(["involutions", "-i", str(path), "--full-order"])
+        code = main(["involutions", "-i", str(path)])
         assert code == 0
         assert "count: 1" in capsys.readouterr().out
 
@@ -470,6 +491,8 @@ def near_schema(draw):
     pool = st.sampled_from(elements) if elements else LABELS
     label = pool if often() else pool | ODD_LABELS | JSON_VALUES
     chain = [[x, y] for x, y in zip(elements, elements[1:])]
+    if draw(st.booleans()):  # the whole order of the chain, reflexive pairs included
+        chain = [[x, y] for i, x in enumerate(elements) for y in elements[i:]]
     covers = st.lists(st.lists(label, min_size=2, max_size=2), max_size=5)
     doc = {"elements": elements, "covers": chain if often() else draw(covers)}
     if draw(st.booleans()):
@@ -493,8 +516,16 @@ def near_schema(draw):
 def test_any_document_exits_zero_one_or_two(tmp_path, capsys, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    for command in ("show", "verify", "involutions", "classify", "mine"):
-        code = main([command, "-i", str(path)])
+    for argv in (
+        ["show", "-i"],
+        ["verify", "-i"],
+        ["involutions", "-i"],
+        ["classify", "-i"],
+        ["mine", "-i"],
+        ["extend", "thm1", "-i"],
+        ["diff", str(path)],
+    ):
+        code = main([*argv, str(path)])
         err = capsys.readouterr().err
-        assert code in (0, 1, 2), (command, err)
+        assert code in (0, 1, 2), (argv, err)
         assert err.count("\n") == (code == 2)

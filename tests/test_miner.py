@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from resposet import (
@@ -8,7 +10,7 @@ from resposet import (
     structural_equal,
     verify_residuated,
 )
-from resposet.errors import LimitZero, Unbounded
+from resposet.errors import CarrierTooLarge, LimitZero, Unbounded
 from resposet.fixtures import (
     antichain,
     chain,
@@ -16,6 +18,7 @@ from resposet.fixtures import (
     n5_involuted,
     pseudo_kleene_nine_involuted,
 )
+from resposet.miner import MAX_CARRIER
 from resposet.order import poset_from_covers
 
 
@@ -152,6 +155,22 @@ class TestLimitsAndErrors:
     def test_limit_zero(self):
         with pytest.raises(LimitZero):
             find_residuations(chain_inv(2), limit=0)
+
+    def test_carrier_limit_checked_before_any_array(self):
+        # 0 < ui < 1 for MAX_CARRIER - 1 atoms, each fixed: without the limit,
+        # the search allocates its set-up and ends at the first empty cell
+        atoms = [f"u{i}" for i in range(1, MAX_CARRIER)]
+        covers = [("0", u) for u in atoms] + [(u, "1") for u in atoms]
+        p = poset_from_covers(["0", *atoms, "1"], covers)
+        ip = involuted(p, {"0": "1", "1": "0", **{u: u for u in atoms}})
+        tracemalloc.start()
+        try:
+            with pytest.raises(CarrierTooLarge, match=f"exceed the limit {MAX_CARRIER}"):
+                find_residuations(ip, limit=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # the candidate flags alone would take 1 MB
 
     def test_unbounded(self):
         ip = involuted(antichain(2), {"u1": "u2", "u2": "u1"})
