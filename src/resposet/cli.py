@@ -4,15 +4,18 @@ Exit codes: 0 = success / verification passed; 1 = a verification or
 classification came out negative (report still printed); 2 = input or
 usage error; 3 = an unexpected internal error.  Each cmd_* returns (text,
 exit code) and main writes the text, once, to stdout or to --output.
+With --timings, main also writes the seconds of each phase to stderr.
 """
 
 import argparse
 import io
 import json
 import sys
+import time
+from contextlib import contextmanager
 
 from . import files
-from .classify import check_pseudo_kleene, is_distributive, recognize_boolean
+from .classify import BooleanAlgebra, check_pseudo_kleene, is_distributive, recognize_boolean
 from .constructions import (
     ExtensionMode,
     _lemma2,
@@ -40,19 +43,41 @@ NAIVE_MINER_MAX = 4  # naive oracle is factorial; guard the carrier size
 _ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r"})  # a label may hold a line break
 
 
-def _load(path) -> files.Bundle:
-    if path.startswith("builtin:"):
-        name = path.split(":", 1)[1]
-        if name not in BUILTINS:
-            raise StructureError(
-                f"unknown builtin {name!r}; available: {', '.join(sorted(BUILTINS))}"
-            )
-        ip = BUILTINS[name]()
-        return files.Bundle(ip.poset, ip)
-    if path == "-":
-        return files.load_structure(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return files.load_structure(fh)
+class _Timings:
+    """Seconds spent in each phase of one call; a nested phase's time is its own only."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(("load", "run", "render", "write"), 0.0)
+        self._current = None
+
+    @contextmanager
+    def phase(self, name):
+        outer, self._current = self._current, name
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - start
+            self.seconds[name] += elapsed
+            if outer is not None:
+                self.seconds[outer] -= elapsed
+            self._current = outer
+
+
+def _load(path, phase) -> files.Bundle:
+    with phase("load"):
+        if path.startswith("builtin:"):
+            name = path.split(":", 1)[1]
+            if name not in BUILTINS:
+                raise StructureError(
+                    f"unknown builtin {name!r}; available: {', '.join(sorted(BUILTINS))}"
+                )
+            ip = BUILTINS[name]()
+            return files.Bundle(ip.poset, ip)
+        if path == "-":
+            return files.load_structure(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return files.load_structure(fh)
 
 
 def _need_structure(bundle) -> ResiduatedStructure:
@@ -67,19 +92,20 @@ def _need_involuted(bundle) -> InvolutedPoset:
     return bundle.involuted
 
 
-def _render(bundle, fmt) -> str:
+def _render(bundle, fmt, phase) -> str:
     """The text of show (a Bundle) and extend (an ExtensionResult): one structure, one text."""
-    if fmt == "dot":
-        return export_dot(bundle.poset, bundle.involution)
-    if fmt == "json":
-        buf = io.StringIO()
-        files.dump(files.to_doc(bundle), buf)
-        return buf.getvalue()
-    return render_tables(_need_structure(bundle), fmt)
+    with phase("render"):
+        if fmt == "dot":
+            return export_dot(bundle.poset, bundle.involution)
+        if fmt == "json":
+            buf = io.StringIO()
+            files.dump(files.to_doc(bundle), buf)
+            return buf.getvalue()
+        return render_tables(_need_structure(bundle), fmt)
 
 
 def cmd_verify(args):
-    s = _need_structure(_load(args.input))
+    s = _need_structure(_load(args.input, args.phase))
     checks = verify_residuated(s).checks
     if s.poset.bounds()[0] is not None:
         checks += check_lemma1(s).checks
@@ -88,7 +114,7 @@ def cmd_verify(args):
 
 
 def cmd_involutions(args):
-    bundle = _load(args.input)
+    bundle = _load(args.input, args.phase)
     found = enumerate_antitone_involutions(bundle.poset)
     lines = [str(inv) for inv in found]
     lines.append(f"count: {len(found)}")
@@ -96,7 +122,7 @@ def cmd_involutions(args):
 
 
 def cmd_extend(args):
-    bundle = None if args.theorem == "cor1" else _load(args.input)
+    bundle = None if args.theorem == "cor1" else _load(args.input, args.phase)
     if args.theorem == "cor1":
         result = chain_residuation(args.n)
     elif args.theorem == "thm1":
@@ -106,15 +132,17 @@ def cmd_extend(args):
     elif args.theorem == "thm3":
         result = extend_theorem3(bundle.poset, args.n, args.k)
     else:  # lemma2 or thm5, the choices argparse leaves
-        B = recognize_boolean(bundle.poset)
+        B = bundle.involuted
+        if not isinstance(B, BooleanAlgebra):  # a cube builtin is one already
+            B = recognize_boolean(bundle.poset)
         if B is None:
             raise StructureError("input poset is not a Boolean algebra")
         result = _lemma2(B) if args.theorem == "lemma2" else extend_boolean_theorem5(B, args.n)
-    return _render(result, args.format), 0
+    return _render(result, args.format, args.phase), 0
 
 
 def cmd_classify(args):
-    bundle = _load(args.input)
+    bundle = _load(args.input, args.phase)
     p = bundle.poset
     verdicts = {}
     lines = []
@@ -141,7 +169,7 @@ def cmd_classify(args):
 
 
 def cmd_mine(args):
-    bundle = _load(args.input)
+    bundle = _load(args.input, args.phase)
     ip = _need_involuted(bundle)
     if args.naive:
         if len(ip.poset) > NAIVE_MINER_MAX:
@@ -156,7 +184,8 @@ def cmd_mine(args):
         lines.append(f"satisfiable: {len(outcome.structures)} structure(s) found")
         for i, s in enumerate(outcome.structures):
             lines.append(f"--- structure {i + 1} ---")
-            lines.append(render_tables(s, "text").rstrip("\n"))
+            with args.phase("render"):
+                lines.append(render_tables(s, "text").rstrip("\n"))
     else:
         lines.append("unsatisfiable")
     if args.stats_json:
@@ -170,12 +199,12 @@ def cmd_mine(args):
 
 
 def cmd_show(args):
-    return _render(_load(args.input), args.format), 0
+    return _render(_load(args.input, args.phase), args.format, args.phase), 0
 
 
 def cmd_diff(args):
-    a = _need_structure(_load(args.first))
-    b = _need_structure(_load(args.second))
+    a = _need_structure(_load(args.first, args.phase))
+    b = _need_structure(_load(args.second, args.phase))
     same = structural_equal(a, b)
     return ("structurally equal" if same else "structurally different") + "\n", 0 if same else 1
 
@@ -187,22 +216,31 @@ def build_parser():
         "posets with antitone involution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the options of every command
+    shared.add_argument("--output", "-o", default="-", help="output file (default stdout)")
+    shared.add_argument(
+        "--timings",
+        action="store_true",
+        help="write the seconds spent in load, run, render and write to stderr, as JSON",
+    )
+
+    def command(name, help):
+        return sub.add_parser(name, help=help, parents=[shared])
 
     def common(p, required=True):
         p.add_argument(
             "--input", "-i", required=required, help="structure file, '-' or builtin:<name>"
         )
-        p.add_argument("--output", "-o", default="-", help="output file (default stdout)")
 
-    p = sub.add_parser("verify", help="check the residuated-poset axioms")
+    p = command("verify", "check the residuated-poset axioms")
     common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("involutions", help="enumerate antitone involutions")
+    p = command("involutions", "enumerate antitone involutions")
     common(p)
     p.set_defaults(func=cmd_involutions)
 
-    p = sub.add_parser("extend", help="run one of the extension constructions")
+    p = command("extend", "run one of the extension constructions")
     p.add_argument("theorem", choices=["thm1", "thm2", "thm3", "cor1", "lemma2", "thm5"])
     common(p, required=False)  # cor1 takes no input
     p.add_argument(
@@ -216,12 +254,12 @@ def build_parser():
     p.add_argument("--format", choices=["json", "text", "csv", "dot"], default="json")
     p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("classify", help="lattice/distributive/Kleene/Boolean verdicts")
+    p = command("classify", "lattice/distributive/Kleene/Boolean verdicts")
     common(p)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("mine", help="search for residuated structures")
+    p = command("mine", "search for residuated structures")
     common(p)
     neg = p.add_mutually_exclusive_group()
     neg.add_argument("--require-negation", dest="require_negation", action="store_true", default=True)
@@ -231,15 +269,14 @@ def build_parser():
     p.add_argument("--stats-json", action="store_true")
     p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("show", help="render a structure")
+    p = command("show", "render a structure")
     common(p)
     p.add_argument("--format", choices=["text", "csv", "json", "dot"], default="text")
     p.set_defaults(func=cmd_show)
 
-    p = sub.add_parser("diff", help="relabeling-aware structural comparison")
+    p = command("diff", "relabeling-aware structural comparison")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_diff)
 
     return parser
@@ -258,21 +295,27 @@ def _validate(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    timings = _Timings()
+    args.phase = timings.phase
+    message = None
     try:
         _validate(args)
-        text, code = args.func(args)
-        if args.output and args.output != "-":
-            with open(args.output, "w", encoding="utf-8") as out:
-                out.write(text)
-        else:
-            sys.stdout.write(text)
+        with timings.phase("run"):
+            text, code = args.func(args)
+        with timings.phase("write"):
+            if args.output and args.output != "-":
+                with open(args.output, "w", encoding="utf-8") as out:
+                    out.write(text)
+            else:
+                sys.stdout.write(text)
     except (StructureError, OSError) as exc:
         message, code = str(exc), 2
     except Exception as exc:  # a bug; exit 1 stays the code of a negative verdict
         message, code = f"internal error ({type(exc).__name__}): {exc}", 3
-    else:
-        return code
-    print(f"error: {message}".translate(_ONE_LINE), file=sys.stderr)
+    if message is not None:
+        print(f"error: {message}".translate(_ONE_LINE), file=sys.stderr)
+    if args.timings:
+        print(json.dumps(timings.seconds), file=sys.stderr)
     return code
 
 

@@ -19,6 +19,7 @@ construction-generated chain elements and only the canonical "#c<i>"
 forms are accepted back on input (so construction output round-trips).
 """
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -126,7 +127,7 @@ def parse_structure(doc) -> Bundle:
 
 
 def _read_table(doc, key, poset):
-    """The table as an int64 index matrix, filled in the pass that checks each cell."""
+    """The table as an int64 index matrix, filled a row at a time as it is checked."""
     table = _expect(doc, key, dict)
     els = poset.elements
     index = {x: i for i, x in enumerate(els)}
@@ -137,13 +138,13 @@ def _read_table(doc, key, poset):
         row = table[x]
         if not isinstance(row, dict):
             raise SchemaViolation(f"row {x!r} must be an object", _pointer(key, x))
-        for j, y in enumerate(els):
-            if y not in row:
-                raise SchemaViolation(f"entry {y!r} is missing", _pointer(key, x))
-            value = row[y]
-            if not isinstance(value, str) or value not in index:
-                raise SchemaViolation(f"value {value!r} is not an element", _pointer(key, x, y))
-            matrix[i, j] = index[value]
+        # labels are strings, so a value that is not one misses index too
+        cells = map(index.__getitem__, map(row.__getitem__, els))
+        try:
+            matrix[i] = np.fromiter(cells, np.int64, len(els))
+        except (KeyError, TypeError):
+            _bad_cell(key, x, row, index)
+            raise  # not reached: the row has a bad cell
         if len(row) != len(els):
             extra = sorted(set(row) - set(els))
             raise SchemaViolation(f"unknown column {extra[0]!r}", _pointer(key, x))
@@ -151,6 +152,16 @@ def _read_table(doc, key, poset):
         extra = sorted(set(table) - set(els))
         raise SchemaViolation(f"unknown row {extra[0]!r}", f"/{key}")
     return matrix
+
+
+def _bad_cell(key, x, row, index):
+    """Raise for the first cell of the row that is missing or not an element, in column order."""
+    for y in index:
+        if y not in row:
+            raise SchemaViolation(f"entry {y!r} is missing", _pointer(key, x))
+        value = row[y]
+        if not isinstance(value, str) or value not in index:
+            raise SchemaViolation(f"value {value!r} is not an element", _pointer(key, x, y))
 
 
 def load_structure(stream) -> Bundle:
@@ -185,5 +196,41 @@ def structure_to_doc(s: ResiduatedStructure, involution=None, provenance=None) -
 
 
 def dump(doc: dict, stream):
-    json.dump(doc, stream, indent=2, ensure_ascii=False)
+    """Write what json.dump(doc, stream, indent=2, ensure_ascii=False) writes, and a newline."""
+    stream.writelines(_indented(doc, 0))
     stream.write("\n")
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(o, level):
+    """The text of o nested ``level`` deep, in pieces of one row or less.
+
+    json.dump with an indent encodes in pure Python.  A container holding no
+    non-empty container is one row here: json's C encoder writes it whole,
+    with an item separator that carries the line break and indent.  Only
+    the containers above the rows are walked in Python.
+    """
+    is_dict = isinstance(o, dict)
+    values = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
+    inner = "\n" + "  " * (level + 1)
+    # the types first: a table row holds a few hundred strings of one type
+    if not (
+        any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+        and any(isinstance(v, _CONTAINERS) and v for v in values)
+    ):
+        text = _row_encoder(level).encode(o)
+        yield text[0] + inner + text[1:-1] + inner[:-2] + text[-1] if values else text
+        return
+    for i, (key, value) in enumerate(o.items() if is_dict else enumerate(o)):
+        yield ("{" if is_dict else "[") + inner if i == 0 else "," + inner
+        if is_dict:  # the key as json writes it, str() of a number included
+            yield _row_encoder(level).encode({key: None})[1:-len(": null}")] + ": "
+        yield from _indented(value, level + 1)
+    yield inner[:-2] + ("}" if is_dict else "]")
+
+
+@functools.cache
+def _row_encoder(level):
+    return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + "  " * (level + 1), ": "))

@@ -71,7 +71,10 @@ class Poset:
     def covers(self) -> list:
         """Cover pairs (x, y) with y covering x, in element order: the transitive reduction."""
         strict = self.leq_matrix & ~np.eye(len(self), dtype=bool)
-        red = strict & ~(strict @ strict)
+        # y covers x when no z lies strictly between: a zero in the square of
+        # strict.  In float32 the square runs in BLAS and counts exactly.
+        f = strict.astype(np.float32)
+        red = strict & ((f @ f) == 0)
         return [(self.elements[i], self.elements[j]) for i, j in np.argwhere(red)]
 
     @cached_property
@@ -237,26 +240,43 @@ def poset_from_relation(elements, pairs) -> Poset:
     """
     elements = _check_labels(elements)
     index = {x: i for i, x in enumerate(elements)}
-    n = len(elements)
-    rel = np.eye(n, dtype=bool)
+    rows = [1 << i for i in range(len(elements))]
     for x, y in pairs:
         if x not in index:
             raise UnknownLabel(f"cover endpoint {x!r} is not listed in elements")
         if y not in index:
             raise UnknownLabel(f"cover endpoint {y!r} is not listed in elements")
-        rel[index[x], index[y]] = True
-    closure = _transitive_closure(rel)
+        rows[index[x]] |= 1 << index[y]
+    closure = _bool_matrix(_transitive_closure(rows))
     _check_antisymmetric(elements, closure)
     return Poset(elements, closure)
 
 
-def _transitive_closure(rel: np.ndarray) -> np.ndarray:
-    closure = rel.copy()
-    while True:
-        step = closure | (closure @ closure)
-        if np.array_equal(step, closure):
-            return closure
-        closure = step
+def _transitive_closure(rows: list) -> list:
+    """Warshall's algorithm on a relation whose row i is an int, bit j set iff i R j.
+
+    Step k gives every row that reaches k all of row k: n passes of n
+    integer operations, where repeated squaring of the boolean matrix
+    costs about log n cubic products.
+    """
+    # step k adds nothing when k has no strict predecessor or no strict
+    # successor, and both sets stay empty through the loop when they start so
+    has_pred = 0
+    for i, r in enumerate(rows):
+        has_pred |= r & ~(1 << i)
+    for k in range(len(rows)):
+        bit, row_k = 1 << k, rows[k]
+        if has_pred & bit and row_k & ~bit:
+            rows = [r | row_k if r & bit else r for r in rows]
+    return rows
+
+
+def _bool_matrix(rows: list) -> np.ndarray:
+    """The n x n boolean matrix of n int rows, bit j of row i in column j."""
+    n = len(rows)
+    width = -(-n // 8)  # bytes per row
+    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
 
 
 def _check_antisymmetric(elements, closure: np.ndarray):

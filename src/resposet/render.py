@@ -3,6 +3,8 @@
 import csv
 import io
 
+import numpy as np
+
 from .order import Poset
 from .residuation import ResiduatedStructure
 
@@ -10,19 +12,24 @@ ODOT = "⊙"   # circled dot
 ARROW = "→"  # rightwards arrow
 
 
-def _one_table(symbol, elements, cell):
-    header = [symbol] + list(elements)
-    rows = [[x] + [cell(x, y) for y in elements] for x in elements]
-    widths = [
-        max(len(header[j]), *(len(r[j]) for r in rows)) for j in range(len(header))
-    ]
-    def fmt_row(r):
-        body = " ".join(c.ljust(w) for c, w in zip(r[1:], widths[1:]))
-        return f"{r[0].ljust(widths[0])} | {body}".rstrip()
+def _rows(elements, table):
+    """(row label, cell labels) for each row of an index table, in element order."""
+    for x, row in zip(elements, table.tolist()):
+        yield x, list(map(elements.__getitem__, row))
 
-    lines = [fmt_row(header)]
-    lines.append("-" * widths[0] + "-+-" + "-" * (sum(widths[1:]) + len(widths) - 2))
-    lines.extend(fmt_row(r) for r in rows)
+
+def _one_table(symbol, elements, table):
+    lengths = np.array([len(x) for x in elements])
+    first = max(len(symbol), int(lengths.max()))
+    # a column is as wide as its header or its widest cell
+    widths = np.maximum(lengths, lengths[table].max(axis=0)).tolist()
+
+    def fmt_row(label, cells):
+        return f"{label.ljust(first)} | {' '.join(map(str.ljust, cells, widths))}".rstrip()
+
+    lines = [fmt_row(symbol, elements)]
+    lines.append("-" * first + "-+-" + "-" * (sum(widths) + len(widths) - 1))
+    lines.extend(fmt_row(x, cells) for x, cells in _rows(elements, table))
     return "\n".join(lines)
 
 
@@ -30,16 +37,13 @@ def render_tables(s: ResiduatedStructure, fmt="text") -> str:
     """Both operation tables, monoid operation first, rows in element order."""
     els = s.elements
     if fmt == "text":
-        first = _one_table(ODOT, els, s.odot_of)
-        second = _one_table(ARROW, els, s.arrow_of)
-        return first + "\n\n" + second + "\n"
+        return _one_table(ODOT, els, s.odot) + "\n\n" + _one_table(ARROW, els, s.arrow) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        for symbol, cell in ((ODOT, s.odot_of), (ARROW, s.arrow_of)):
-            writer.writerow([symbol] + list(els))
-            for x in els:
-                writer.writerow([x] + [cell(x, y) for y in els])
+        for symbol, table in ((ODOT, s.odot), (ARROW, s.arrow)):
+            writer.writerow([symbol, *els])
+            writer.writerows([x, *cells] for x, cells in _rows(els, table))
             if symbol == ODOT:
                 writer.writerow([])
         return buf.getvalue()

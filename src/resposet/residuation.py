@@ -61,8 +61,7 @@ class ResiduatedStructure:
         table = self.odot if which == "odot" else self.arrow
         els = self.elements
         return {
-            x: {y: els[table[i, j]] for j, y in enumerate(els)}
-            for i, x in enumerate(els)
+            x: dict(zip(els, map(els.__getitem__, row))) for x, row in zip(els, table.tolist())
         }
 
 
@@ -100,13 +99,17 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
     els = p.elements
     n = len(p)
     u = p.index(s.unit)
+    # the associativity cube is gathered from O's values; in the smallest
+    # dtype that holds an index (one byte up to 256 elements) it moves a
+    # fraction of the int64 bytes
+    small = O.astype(np.min_scalar_type(n - 1))
     # the triple checks take xs, a slice of x rows, and give [x, y, z] cubes
     return VerificationReport(
         (
             verdict("unit-greatest", ~leq[:, u], els),
             verdict("commutativity", O != O.T, els),
             # (x . y) . z  vs  x . (y . z)
-            _slabbed("associativity", lambda xs: O[O[xs], :] != O[xs][:, O], els),
+            _slabbed("associativity", lambda xs: small[O[xs], :] != small[xs][:, O], els),
             verdict("unit-law", O[u, :] != np.arange(n), els),
             # x . y <= z  vs  x <= y -> z
             _slabbed("adjointness", lambda xs: leq[O[xs], :] != leq[xs][:, A], els),

@@ -80,6 +80,18 @@ class TestSchema:
         bundle = roundtrip(doc)
         assert bundle.structure.elements == ("#c1", "#c2", "#c3", "#c4")
 
+    def test_largest_chain_round_trip(self, tmp_path):
+        # the output of `extend cor1 --n 998`, near MAX_CARRIER; through a file,
+        # as a StringIO read back holds the 46 MB text at four bytes a character
+        res = chain_residuation(998, verify=False)
+        path = tmp_path / "cor1.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            dump(structure_to_doc(res.structure, res.involution, res.provenance), fh)
+        with open(path, encoding="utf-8") as fh:
+            bundle = load_structure(fh)
+        assert bundle.structure == res.structure
+        assert bundle.involution == res.involution
+
     def test_reserved_label_rejected(self):
         with pytest.raises(ReservedLabel):
             parse_structure({"elements": ["#mine"], "covers": []})
@@ -120,6 +132,7 @@ class TestSchema:
             ({"odot": {"a/b": {"a/b": "a/b", "x~y": "a/b"}, "x~y": 1}}, "/odot/x~0y"),
             ({"odot": {"a/b": {"a/b": "a/b"}, "x~y": {}}}, "/odot/a~1b"),
             ({"covers": {}}, "/covers"),
+            ({"odot": {"a/b": {"a/b": ["a/b"], "x~y": "z"}, "x~y": {}}}, "/odot/a~1b/a~1b"),
         ],
     )
     def test_pointer_escapes_labels(self, change, pointer):
@@ -441,6 +454,9 @@ class TestCli:
             (["show", "-i", "builtin:cube16", "--format", "json"], 1),  # the algebra's
             # the algebra's, check_pseudo_kleene's argument, recognize_boolean's result
             (["classify", "-i", "builtin:cube16"], 3),
+            # the algebra's and the carrier's: the builtin already is a BooleanAlgebra
+            (["extend", "thm5", "-i", "builtin:cube8", "--n", "2"], 2),
+            (["extend", "lemma2", "-i", "builtin:cube8"], 2),
         ],
     )
     def test_each_involution_is_checked_once(self, monkeypatch, capsys, argv, checks):
@@ -452,6 +468,17 @@ class TestCli:
         monkeypatch.setattr(involution, "_antitone", counted)
         assert main(argv) == 0
         assert len(calls) == checks
+
+    def test_timings_go_to_stderr_only(self, capsys):
+        assert main(["extend", "cor1", "--n", "5"]) == 0
+        plain = capsys.readouterr()
+        assert main(["extend", "cor1", "--n", "5", "--timings"]) == 0
+        timed = capsys.readouterr()
+        assert timed.out == plain.out and plain.err == ""
+        seconds = json.loads(timed.err)
+        assert list(seconds) == ["load", "run", "render", "write"]
+        assert all(isinstance(t, float) and t >= 0 for t in seconds.values())
+        assert seconds["render"] > 0  # the JSON text is written in the render phase
 
     def test_full_order_flag(self, tmp_path, capsys):
         p = n5()
@@ -512,8 +539,8 @@ def near_schema(draw):
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(st.one_of(JSON_VALUES, near_schema()))
-def test_any_document_exits_zero_one_or_two(tmp_path, capsys, doc):
+@given(st.one_of(JSON_VALUES, near_schema()), st.booleans())
+def test_any_document_exits_zero_one_or_two(tmp_path, capsys, doc, timings):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     for argv in (
@@ -525,7 +552,7 @@ def test_any_document_exits_zero_one_or_two(tmp_path, capsys, doc):
         ["extend", "thm1", "-i"],
         ["diff", str(path)],
     ):
-        code = main([*argv, str(path)])
+        code = main([*argv, str(path)] + ["--timings"] * timings)
         err = capsys.readouterr().err
         assert code in (0, 1, 2), (argv, err)
-        assert err.count("\n") == (code == 2)
+        assert err.count("\n") == (code == 2) + timings  # the error line, the timings line

@@ -8,6 +8,7 @@ from resposet import (
     poset_from_covers,
     poset_from_relation,
 )
+from resposet import order
 from resposet.errors import CycleDetected, DuplicateLabel, SelfCover, UnknownLabel
 from resposet.fixtures import antichain, letter_cube_boolean, n5
 
@@ -198,3 +199,53 @@ def test_random_posets_round_trip(data):
     assert got == oracle
     assert poset_from_covers(labels, p.covers()) == p
     assert p.dual().dual() == p
+
+
+def squaring_closure(rel):
+    """Reference: the closure by repeated boolean squaring, as computed before Warshall."""
+    closure = rel.copy()
+    while True:
+        step = closure | (closure @ closure)
+        if np.array_equal(step, closure):
+            return closure
+        closure = step
+
+
+@st.composite
+def relations(draw):
+    """Random relations on up to 40 labels, so a row spans several bytes; half may cycle."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    labels = [f"v{i}" for i in range(n)]
+    if not n:
+        return labels, []
+    index = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    if draw(st.booleans()):  # every pair upward in label order: no cycle
+        pairs = [sorted(pair) for pair in pairs]
+    return labels, [(labels[i], labels[j]) for i, j in pairs]
+
+
+@given(relations())
+def test_closure_matches_squaring(data):
+    labels, pairs = data
+    n = len(labels)
+    index = {x: i for i, x in enumerate(labels)}
+    rel = np.eye(n, dtype=bool)
+    for x, y in pairs:
+        rel[index[x], index[y]] = True
+    expected = squaring_closure(rel)
+    rows = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in rel]
+    assert np.array_equal(order._bool_matrix(order._transitive_closure(rows)), expected)
+
+    sym = expected & expected.T & ~np.eye(n, dtype=bool)
+    if sym.any():
+        i, j = np.argwhere(sym)[0]
+        with pytest.raises(CycleDetected) as info:
+            poset_from_relation(labels, pairs)
+        assert str(info.value) == f"{labels[i]!r} and {labels[j]!r} are mutually comparable"
+    else:
+        p = poset_from_relation(labels, pairs)
+        assert np.array_equal(p.leq_matrix, expected)
+        strict = expected & ~np.eye(n, dtype=bool)
+        reduction = strict & ~(strict @ strict)
+        assert p.covers() == [(labels[i], labels[j]) for i, j in np.argwhere(reduction)]
