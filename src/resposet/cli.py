@@ -39,33 +39,21 @@ from .residuation import (
     verify_residuated,
 )
 
-NAIVE_MINER_MAX = 4  # naive oracle is factorial; guard the carrier size
 _ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r"})  # a label may hold a line break
 
 
-class _Timings:
-    """Seconds spent in each phase of one call; a nested phase's time is its own only."""
-
-    def __init__(self):
-        self.seconds = dict.fromkeys(("load", "run", "render", "write"), 0.0)
-        self._current = None
-
-    @contextmanager
-    def phase(self, name):
-        outer, self._current = self._current, name
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.seconds[name] += elapsed
-            if outer is not None:
-                self.seconds[outer] -= elapsed
-            self._current = outer
+@contextmanager
+def _timed(seconds, name):
+    """Add the seconds the block takes to seconds[name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[name] += time.perf_counter() - start
 
 
-def _load(path, phase) -> files.Bundle:
-    with phase("load"):
+def _load(path, seconds) -> files.Bundle:
+    with _timed(seconds, "load"):
         if path.startswith("builtin:"):
             name = path.split(":", 1)[1]
             if name not in BUILTINS:
@@ -86,15 +74,22 @@ def _need_structure(bundle) -> ResiduatedStructure:
     return bundle.structure
 
 
+def _boolean(bundle) -> BooleanAlgebra | None:
+    """The bundle's Boolean algebra: a cube builtin is one already, a file is recognised."""
+    if isinstance(bundle.involuted, BooleanAlgebra):
+        return bundle.involuted
+    return recognize_boolean(bundle.poset)
+
+
 def _need_involuted(bundle) -> InvolutedPoset:
     if bundle.involuted is None:
         raise StructureError("this command needs an involution")
     return bundle.involuted
 
 
-def _render(bundle, fmt, phase) -> str:
+def _render(bundle, fmt, seconds) -> str:
     """The text of show (a Bundle) and extend (an ExtensionResult): one structure, one text."""
-    with phase("render"):
+    with _timed(seconds, "render"):
         if fmt == "dot":
             return export_dot(bundle.poset, bundle.involution)
         if fmt == "json":
@@ -105,7 +100,7 @@ def _render(bundle, fmt, phase) -> str:
 
 
 def cmd_verify(args):
-    s = _need_structure(_load(args.input, args.phase))
+    s = _need_structure(_load(args.input, args.seconds))
     checks = verify_residuated(s).checks
     if s.poset.bounds()[0] is not None:
         checks += check_lemma1(s).checks
@@ -114,7 +109,7 @@ def cmd_verify(args):
 
 
 def cmd_involutions(args):
-    bundle = _load(args.input, args.phase)
+    bundle = _load(args.input, args.seconds)
     found = enumerate_antitone_involutions(bundle.poset)
     lines = [str(inv) for inv in found]
     lines.append(f"count: {len(found)}")
@@ -122,7 +117,7 @@ def cmd_involutions(args):
 
 
 def cmd_extend(args):
-    bundle = None if args.theorem == "cor1" else _load(args.input, args.phase)
+    bundle = None if args.theorem == "cor1" else _load(args.input, args.seconds)
     if args.theorem == "cor1":
         result = chain_residuation(args.n)
     elif args.theorem == "thm1":
@@ -132,17 +127,15 @@ def cmd_extend(args):
     elif args.theorem == "thm3":
         result = extend_theorem3(bundle.poset, args.n, args.k)
     else:  # lemma2 or thm5, the choices argparse leaves
-        B = bundle.involuted
-        if not isinstance(B, BooleanAlgebra):  # a cube builtin is one already
-            B = recognize_boolean(bundle.poset)
+        B = _boolean(bundle)
         if B is None:
             raise StructureError("input poset is not a Boolean algebra")
         result = _lemma2(B) if args.theorem == "lemma2" else extend_boolean_theorem5(B, args.n)
-    return _render(result, args.format, args.phase), 0
+    return _render(result, args.format, args.seconds), 0
 
 
 def cmd_classify(args):
-    bundle = _load(args.input, args.phase)
+    bundle = _load(args.input, args.seconds)
     p = bundle.poset
     verdicts = {}
     lines = []
@@ -161,30 +154,23 @@ def cmd_classify(args):
             lines.extend(kv.report.lines())
             lines.append(f"pseudo-kleene: {kv.pseudo_kleene}")
             lines.append(f"kleene: {kv.kleene}")
-        B = recognize_boolean(p)
-        verdicts["boolean"] = B is not None
-        lines.append(f"boolean: {B is not None}")
+        verdicts["boolean"] = _boolean(bundle) is not None
+        lines.append(f"boolean: {verdicts['boolean']}")
     text = json.dumps(verdicts, indent=2) if args.json else "\n".join(lines)
     return text + "\n", 0 if all(verdicts.values()) else 1
 
 
 def cmd_mine(args):
-    bundle = _load(args.input, args.phase)
+    bundle = _load(args.input, args.seconds)
     ip = _need_involuted(bundle)
-    if args.naive:
-        if len(ip.poset) > NAIVE_MINER_MAX:
-            raise StructureError(
-                f"naive mode is limited to |P| <= {NAIVE_MINER_MAX} elements"
-            )
-        outcome = find_residuations_naive(ip, args.require_negation, args.limit)
-    else:
-        outcome = find_residuations(ip, args.require_negation, args.limit)
+    search = find_residuations_naive if args.naive else find_residuations
+    outcome = search(ip, args.require_negation, args.limit)
     lines = []
     if outcome.satisfiable:
         lines.append(f"satisfiable: {len(outcome.structures)} structure(s) found")
         for i, s in enumerate(outcome.structures):
             lines.append(f"--- structure {i + 1} ---")
-            with args.phase("render"):
+            with _timed(args.seconds, "render"):
                 lines.append(render_tables(s, "text").rstrip("\n"))
     else:
         lines.append("unsatisfiable")
@@ -199,12 +185,12 @@ def cmd_mine(args):
 
 
 def cmd_show(args):
-    return _render(_load(args.input, args.phase), args.format, args.phase), 0
+    return _render(_load(args.input, args.seconds), args.format, args.seconds), 0
 
 
 def cmd_diff(args):
-    a = _need_structure(_load(args.first, args.phase))
-    b = _need_structure(_load(args.second, args.phase))
+    a = _need_structure(_load(args.first, args.seconds))
+    b = _need_structure(_load(args.second, args.seconds))
     same = structural_equal(a, b)
     return ("structurally equal" if same else "structurally different") + "\n", 0 if same else 1
 
@@ -295,14 +281,13 @@ def _validate(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    timings = _Timings()
-    args.phase = timings.phase
+    args.seconds = dict.fromkeys(("load", "run", "render", "write"), 0.0)
     message = None
     try:
         _validate(args)
-        with timings.phase("run"):
+        with _timed(args.seconds, "run"):
             text, code = args.func(args)
-        with timings.phase("write"):
+        with _timed(args.seconds, "write"):
             if args.output and args.output != "-":
                 with open(args.output, "w", encoding="utf-8") as out:
                     out.write(text)
@@ -315,7 +300,8 @@ def main(argv=None):
     if message is not None:
         print(f"error: {message}".translate(_ONE_LINE), file=sys.stderr)
     if args.timings:
-        print(json.dumps(timings.seconds), file=sys.stderr)
+        args.seconds["run"] -= args.seconds["load"] + args.seconds["render"]  # both nest in run
+        print(json.dumps(args.seconds), file=sys.stderr)
     return code
 
 

@@ -164,7 +164,7 @@ def extend_theorem1(ip: InvolutedPoset, mode=ExtensionMode.ADD_FOUR, verify=True
         low = 1 + p.index(bottom)
     elif mode is ExtensionMode.REUSE_FOUR:
         q, inv = p, np.array(ip.involution.image, dtype=np.int64)
-        low = p.index(_reuse_four_frame(ip)[1])
+        low = p.index(_reuse_four_frame(p))
     else:
         raise ModeUnsatisfiable(f"unknown mode {mode!r}")
     tables = _frame_tables(q, inv, low)
@@ -172,9 +172,13 @@ def extend_theorem1(ip: InvolutedPoset, mode=ExtensionMode.ADD_FOUR, verify=True
     return _extension("theorem1", q, inv, tables, identity, {"mode": mode.value}, verify)
 
 
-def _reuse_four_frame(ip: InvolutedPoset):
-    """Locate a < b <= x <= c < d with a' = d, b' = c, or raise."""
-    p, inv = ip.poset, ip.involution
+def _reuse_four_frame(p: Poset):
+    """The b of a frame a < b <= x <= c < d with a' = d, b' = c, or raise.
+
+    An antitone involution maps the bounds onto each other and the
+    interior onto itself, reversing the order, so a' = d holds and c = b'
+    is the greatest interior element whenever b is the least.
+    """
     a, d = p.bounds()
     if a is None or d is None or a == d:
         raise ModeUnsatisfiable("reuse-four needs distinct bounds")
@@ -182,12 +186,9 @@ def _reuse_four_frame(ip: InvolutedPoset):
     if not inner:
         raise ModeUnsatisfiable("reuse-four needs interior elements b and c")
     b = next((x for x in inner if all(p.leq(x, y) for y in inner)), None)
-    c = next((x for x in inner if all(p.leq(y, x) for y in inner)), None)
-    if b is None or c is None:
+    if b is None:
         raise ModeUnsatisfiable("interior has no least/greatest element")
-    if inv(a) != d or inv(b) != c:
-        raise ModeUnsatisfiable("involution does not match the 4-chain frame")
-    return a, b, c, d
+    return b
 
 
 def chain_residuation(n: int, verify=True) -> ExtensionResult:

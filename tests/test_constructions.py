@@ -172,8 +172,15 @@ class TestTheorem1:
             extend_theorem1(ip, ExtensionMode.REUSE_BOUNDS)
 
     def test_reuse_four_needs_frame(self):
-        with pytest.raises(ModeUnsatisfiable):
+        with pytest.raises(ModeUnsatisfiable, match="interior has no least/greatest element"):
             extend_theorem1(n5_involuted(), ExtensionMode.REUSE_FOUR)
+
+    @pytest.mark.parametrize(
+        "n, message", [(2, "needs interior elements b and c"), (1, "needs distinct bounds")]
+    )
+    def test_reuse_four_needs_a_four_chain_frame(self, n, message):
+        with pytest.raises(ModeUnsatisfiable, match=message):
+            extend_theorem1(chain_involuted(n), ExtensionMode.REUSE_FOUR)
 
     def test_interior_zero_iff_below_complement(self, involuted_corpus):
         for ip in involuted_corpus[:30]:

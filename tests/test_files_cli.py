@@ -133,6 +133,10 @@ class TestSchema:
             ({"odot": {"a/b": {"a/b": "a/b"}, "x~y": {}}}, "/odot/a~1b"),
             ({"covers": {}}, "/covers"),
             ({"odot": {"a/b": {"a/b": ["a/b"], "x~y": "z"}, "x~y": {}}}, "/odot/a~1b/a~1b"),
+            ({"odot": {"a/b": {"a/b": "a/b", "x~y": "a/b", "z": "a/b"}}}, "/odot/a~1b"),
+            ({"odot": {"a/b": {"a/b": "a/b", "x~y": "a/b"},
+                       "x~y": {"a/b": "x~y", "x~y": "x~y"}, "z": {}}}, "/odot"),
+            ({"involution": {"z": "a/b"}}, "/involution"),
         ],
     )
     def test_pointer_escapes_labels(self, change, pointer):
@@ -452,8 +456,9 @@ class TestCli:
             (["mine", "-i", "builtin:kleene6"], 1),  # the builtin's
             (["extend", "thm2", "-i", "builtin:kleene6", "--n", "2"], 2),  # and the carrier's
             (["show", "-i", "builtin:cube16", "--format", "json"], 1),  # the algebra's
-            # the algebra's, check_pseudo_kleene's argument, recognize_boolean's result
-            (["classify", "-i", "builtin:cube16"], 3),
+            # the algebra's and check_pseudo_kleene's argument: the builtin
+            # already is a BooleanAlgebra, so recognize_boolean is not asked
+            (["classify", "-i", "builtin:cube16"], 2),
             # the algebra's and the carrier's: the builtin already is a BooleanAlgebra
             (["extend", "thm5", "-i", "builtin:cube8", "--n", "2"], 2),
             (["extend", "lemma2", "-i", "builtin:cube8"], 2),

@@ -14,6 +14,7 @@ from resposet.errors import CarrierTooLarge, LimitZero, Unbounded
 from resposet.fixtures import (
     antichain,
     chain,
+    chain_involuted,
     kleene_six_involuted,
     n5_involuted,
     pseudo_kleene_nine_involuted,
@@ -171,6 +172,11 @@ class TestLimitsAndErrors:
         finally:
             tracemalloc.stop()
         assert peak < 100_000  # the candidate flags alone would take 1 MB
+
+    def test_naive_limit_is_the_miners(self):
+        # checked before any table is enumerated, as the CLI's --naive is
+        with pytest.raises(CarrierTooLarge, match=r"naive mode is limited to \|P\| <= 4 elements"):
+            find_residuations_naive(chain_involuted(5), limit=1)
 
     def test_unbounded(self):
         ip = involuted(antichain(2), {"u1": "u2", "u2": "u1"})
