@@ -1,14 +1,32 @@
 import numpy as np
 import pytest
 
-from resposet.catalog import posets_of_size
+from resposet import catalog
+from resposet.catalog import posets_of_size, posets_up_to_size
 from resposet.order import Poset, _isomorphisms
 
 
-@pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 5), (4, 16), (5, 63), (6, 318)])
+@pytest.mark.parametrize(
+    "n, count",
+    [(1, 1), (2, 2), (3, 5), (4, 16), (5, 63), (6, 318), (7, 2045), (8, 16999)],
+)
 def test_one_poset_per_isomorphism_class(n, count):
     # OEIS A000112: unlabeled posets on n points
     assert len(posets_of_size(n)) == count
+
+
+def test_each_level_is_built_once(monkeypatch):
+    # one pass over sizes 1..6 that grows only kept posets; rebuilding the
+    # lower sizes for each size, and growing their duplicates, takes 5,019
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return _isomorphisms(a, b)
+
+    monkeypatch.setattr(catalog, "_isomorphisms", counting)
+    assert len(posets_up_to_size(6)) == 405
+    assert len(calls) == 553
 
 
 def mask_generator(n):
