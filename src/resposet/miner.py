@@ -11,7 +11,10 @@ the axioms:
   negation-zero: when the derived negation must equal the involution,
                  x . y = 0 exactly when x <= y'
   associativity: (a . b) . c = a . (b . c) on every triple whose four
-                 lookups are assigned
+                 lookups are assigned; each node checks only the
+                 triples that look up its new cell, which is exact
+                 because the parent passed and the unit row alone is
+                 associative
 
 A naive oracle (no pruning beyond commutativity and the forced unit
 row) is provided for small carriers to certify the pruned search.
@@ -33,7 +36,9 @@ from .residuation import (
 
 # The most carrier elements the miner searches.  Its set-up holds n^3
 # candidate flags and lists: a peak of about 2.9 MB at 100 elements,
-# growing to gigabytes at the 1000 a construction may build.
+# growing to gigabytes at the 1000 a construction may build.  Each leaf
+# derives residuals and verifies through n^3 cubes: a search on the
+# 100-chain peaks at about 20 MB.
 MAX_CARRIER = 100
 # The most carrier elements the naive oracle searches: it tries all
 # n^(n(n-1)/2) tables, 4,096 at 4 elements and 9,765,625 at 5.
@@ -92,6 +97,11 @@ def _free_cells(ip: InvolutedPoset, limit):
     return top, np.argwhere(free)
 
 
+def _orientations(i, j):
+    """The cell (i, j) and its mirror (j, i), once when they coincide."""
+    return ((i, j), (j, i)) if i != j else ((i, j),)
+
+
 def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> MinerOutcome:
     """Enumerate residuated structures on the given involuted poset.
 
@@ -114,56 +124,119 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
         is_bottom = np.arange(n) == p.index(p.bounds()[0])
         allowed &= is_bottom[:, None, None] == leq[None, :, inv]
     candidates = [np.flatnonzero(c).tolist() for c in allowed[:, cells[:, 0], cells[:, 1]].T]
+    cells = cells.tolist()
+    sides = [_orientations(i, j) for i, j in cells]
 
-    # the last row and column stay -1, so an unassigned cell looks up -1
-    table = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    table[u, :n] = table[:n, u] = np.arange(n)
-    t = table[:n, :n]
+    # the table as int rows, -1 where unassigned; preimage[x] lists the
+    # assigned cells (a, b), both orientations, with a . b = x
+    t = [[-1] * n for _ in range(n)]
+    preimage = [[] for _ in range(n)]
+    for x in range(n):
+        t[u][x] = t[x][u] = x
+        preimage[x] += _orientations(u, x)
+    rows = leq.tolist()
+    down = [[a for a in range(n) if rows[a][x]] for x in range(n)]
+    up = [[a for a in range(n) if rows[x][a]] for x in range(n)]
+    # at_most[v][w]: w <= v, at_least[v][w]: v <= w; the last entry, which
+    # an unassigned cell's -1 looks up, is True
+    at_most = [[rows[w][v] for w in range(n)] + [True] for v in range(n)]
+    at_least = [rows[v] + [True] for v in range(n)]
 
     def monotone_ok(i, j, v):
         # an assigned (a, b) with a <= i, b <= j needs a . b <= v, and with
         # i <= a, j <= b needs v <= a . b; t is symmetric, so these also
         # cover (b, a)
-        below = leq[:, i, None] & leq[None, :, j]
-        above = leq[i, :, None] & leq[None, j, :]
-        bad = (below & ~leq[t, v]) | (above & ~leq[v, t])
-        return not (bad & (t >= 0)).any()
+        low, down_j = at_most[v], down[j]
+        for a in down[i]:
+            row = t[a]
+            for b in down_j:
+                if not low[row[b]]:
+                    return False
+        high, up_j = at_least[v], up[j]
+        for a in up[i]:
+            row = t[a]
+            for b in up_j:
+                if not high[row[b]]:
+                    return False
+        return True
 
-    def assoc_ok():
-        left, right = table[t, :n], table[:n, t]  # [a, b, c]: (a . b) . c, a . (b . c)
-        return not ((left != right) & (left >= 0) & (right >= 0)).any()
+    def assoc_ok(pos, v):
+        # (a . b) . c = a . (b . c) on the complete triples that look up the
+        # new cell; every other complete triple was complete at the parent,
+        # which passed.  By commutativity (c, b, a) makes the same four
+        # lookups as (a, b, c), so the kinds "a . b is the cell" and
+        # "a . b is x, c is y", over both orientations (x, y) of the cell,
+        # also cover "b . c is the cell" and "a is x, b . c is y"
+        row_v = t[v]
+        for x, y in sides[pos]:
+            row_x, row_y = t[x], t[y]
+            for c in range(n):  # (x . y) . c = x . (y . c)
+                w, left = row_y[c], row_v[c]
+                if w >= 0 and left >= 0 and 0 <= row_x[w] != left:
+                    return False
+            for a, b in preimage[x]:  # (a . b) . y = a . (b . y) with a . b = x
+                w = t[b][y]
+                if w >= 0 and 0 <= t[a][w] != v:
+                    return False
+        return True
 
+    tried = [0] * (len(cells) + 1)  # candidates of each cell tried so far
+
+    def assign(pos, v):
+        i, j = cells[pos]
+        t[i][j] = t[j][i] = v
+        preimage[v] += sides[pos]
+
+    def unassign(pos):
+        i, j = cells[pos]
+        v = t[i][j]
+        t[i][j] = t[j][i] = -1
+        del preimage[v][-len(sides[pos]):]
+
+    def advance(pos):
+        """Assign cell pos its next candidate that passes both checks; False when none is left."""
+        i, j = cells[pos]
+        while tried[pos] < len(candidates[pos]):
+            v = candidates[pos][tried[pos]]
+            tried[pos] += 1
+            stats.nodes += 1
+            assign(pos, v)
+            if not monotone_ok(i, j, v):
+                stats.prune("monotonicity")
+            elif not assoc_ok(pos, v):
+                stats.prune("associativity")
+            else:
+                return True
+            unassign(pos)
+        return False
+
+    # depth-first over an explicit stack, so a carrier whose free cells
+    # outnumber the recursion limit is searched too; pos is the depth,
+    # one cell per level
     results = []
     truncated = False
-
-    def search(pos):
-        nonlocal truncated
+    pos = 0
+    while True:
         if pos == len(cells):
-            leaf = _leaf(ip, top, t.copy(), require_negation)
+            leaf = _leaf(ip, top, np.array(t, dtype=np.int64), require_negation)
             if isinstance(leaf, str):
                 stats.prune(leaf)
             else:
                 results.append(leaf)
-            return
-        i, j = cells[pos]
-        if not candidates[pos]:
+        elif not candidates[pos]:
             stats.prune("empty-cell")
-            return
-        for v in candidates[pos]:
-            stats.nodes += 1
-            table[i, j] = table[j, i] = v
-            if not monotone_ok(i, j, v):
-                stats.prune("monotonicity")
-            elif not assoc_ok():
-                stats.prune("associativity")
-            else:
-                search(pos + 1)
-            table[i, j] = table[j, i] = -1
-            if len(results) >= limit:
-                truncated = True
-                break
-
-    search(0)
+        elif advance(pos):
+            pos += 1
+            tried[pos] = 0
+            continue
+        # back to the parent's cell, which tries its next candidate
+        pos -= 1
+        if pos < 0:
+            break
+        unassign(pos)
+        if len(results) >= limit:
+            truncated = True
+            break
     return MinerOutcome(bool(results), results, stats, truncated)
 
 

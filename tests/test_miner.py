@@ -1,15 +1,21 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from resposet import (
     chain_residuation,
+    enumerate_antitone_involutions,
+    extend_theorem1,
     find_residuations,
     find_residuations_naive,
     involuted,
     structural_equal,
     verify_residuated,
 )
+from resposet.catalog import involuted_posets_up_to_size, posets_of_size
+from resposet.cli import main
+from resposet.constructions import ExtensionMode
 from resposet.errors import CarrierTooLarge, LimitZero, Unbounded
 from resposet.fixtures import (
     antichain,
@@ -19,8 +25,8 @@ from resposet.fixtures import (
     n5_involuted,
     pseudo_kleene_nine_involuted,
 )
-from resposet.miner import MAX_CARRIER
-from resposet.order import poset_from_covers
+from resposet.miner import MAX_CARRIER, MinerOutcome, MinerStats, _free_cells, _leaf
+from resposet.order import poset_from_covers, poset_from_relation
 
 
 def chain_inv(n):
@@ -88,6 +94,99 @@ class TestOracleAgreement:
                 assert a == b  # both searches emit lexicographic table order
 
 
+def find_residuations_rescan(ip, require_negation=True, limit=16):
+    """Reference oracle: the pruned search with a full numpy rescan at every node.
+
+    The same cells, candidates, prune rules and leaf as find_residuations,
+    but monotonicity compares the new cell with every assigned cell and
+    associativity rebuilds the whole n^3 cube of (a . b) . c and a . (b . c).
+    """
+    top, cells = _free_cells(ip, limit)
+    p = ip.poset
+    n = len(p)
+    leq = p.leq_matrix
+    u = p.index(top)
+    stats = MinerStats()
+    allowed = leq[:, :, None] & leq[:, None, :]
+    if require_negation:
+        inv = np.array(ip.involution.image, dtype=np.int64)
+        is_bottom = np.arange(n) == p.index(p.bounds()[0])
+        allowed &= is_bottom[:, None, None] == leq[None, :, inv]
+    candidates = [np.flatnonzero(c).tolist() for c in allowed[:, cells[:, 0], cells[:, 1]].T]
+    # the last row and column stay -1, so an unassigned cell looks up -1
+    table = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    table[u, :n] = table[:n, u] = np.arange(n)
+    t = table[:n, :n]
+
+    def monotone_ok(i, j, v):
+        below = leq[:, i, None] & leq[None, :, j]
+        above = leq[i, :, None] & leq[None, j, :]
+        bad = (below & ~leq[t, v]) | (above & ~leq[v, t])
+        return not (bad & (t >= 0)).any()
+
+    def assoc_ok():
+        left, right = table[t, :n], table[:n, t]  # [a, b, c]: (a . b) . c, a . (b . c)
+        return not ((left != right) & (left >= 0) & (right >= 0)).any()
+
+    results = []
+    truncated = False
+
+    def search(pos):
+        nonlocal truncated
+        if pos == len(cells):
+            leaf = _leaf(ip, top, t.copy(), require_negation)
+            if isinstance(leaf, str):
+                stats.prune(leaf)
+            else:
+                results.append(leaf)
+            return
+        i, j = cells[pos]
+        if not candidates[pos]:
+            stats.prune("empty-cell")
+            return
+        for v in candidates[pos]:
+            stats.nodes += 1
+            table[i, j] = table[j, i] = v
+            if not monotone_ok(i, j, v):
+                stats.prune("monotonicity")
+            elif not assoc_ok():
+                stats.prune("associativity")
+            else:
+                search(pos + 1)
+            table[i, j] = table[j, i] = -1
+            if len(results) >= limit:
+                truncated = True
+                break
+
+    search(0)
+    return MinerOutcome(bool(results), results, stats, truncated)
+
+
+def bounded_pairs_and_extensions(max_size):
+    """Every bounded catalog pair up to max_size points, and every pair's Theorem-1 extension."""
+    for p, inv in involuted_posets_up_to_size(max_size):
+        ip = involuted(p, inv)
+        if None not in p.bounds():
+            yield ip
+        ext = extend_theorem1(ip, ExtensionMode.ADD_FOUR, verify=False)
+        yield involuted(ext.poset, ext.involution)
+
+
+class TestRescanOracle:
+    def test_same_search_as_the_full_rescan(self):
+        searches = 0
+        for ip in bounded_pairs_and_extensions(5):
+            for require_negation in (True, False) if len(ip.poset) <= 6 else (True,):
+                for limit in (1, 10**6):
+                    fast = find_residuations(ip, require_negation=require_negation, limit=limit)
+                    slow = find_residuations_rescan(ip, require_negation=require_negation, limit=limit)
+                    assert fast.structures == slow.structures
+                    assert fast.stats.as_dict() == slow.stats.as_dict()
+                    assert (fast.satisfiable, fast.truncated) == (slow.satisfiable, slow.truncated)
+                    searches += 1
+        assert searches == 220
+
+
 class TestDeterminism:
     def test_repeated_runs_identical(self):
         a = find_residuations(chain_inv(4))
@@ -122,6 +221,10 @@ SEARCH_TREES = [
      (0, False, {"nodes": 99, "prunes": {"associativity": 14, "monotonicity": 41}})),
     ("chain8-limit3", lambda: chain_inv(8), True, 3,
      (3, True, {"nodes": 37, "prunes": {"associativity": 5, "monotonicity": 1}})),
+    ("chain10", lambda: chain_inv(10), True, ALL,
+     (161, False, {"nodes": 9184, "prunes": {"associativity": 2889, "monotonicity": 4575}})),
+    ("chain11", lambda: chain_inv(11), True, ALL,
+     (329, False, {"nodes": 26532, "prunes": {"associativity": 9374, "monotonicity": 12821}})),
 ]
 
 
@@ -134,6 +237,61 @@ class TestSearchTree:
     def test_stats_are_pinned(self, make, require_negation, limit, expected):
         outcome = find_residuations(make(), require_negation=require_negation, limit=limit)
         assert (len(outcome.structures), outcome.truncated, outcome.stats.as_dict()) == expected
+
+
+def bounded_sum(p, inv):
+    """The carrier 0 < Q < 1 of (Q, ') with 0' = 1."""
+    leq = p.leq_matrix
+    order = [(a, b) for a in p.elements for b in p.elements if leq[p.index(a), p.index(b)]]
+    order += [("0", x) for x in p.elements] + [(x, "1") for x in p.elements] + [("0", "1")]
+    q = poset_from_relation(["0", *p.elements, "1"], order)
+    return involuted(q, {**inv.mapping, "0": "1", "1": "0"})
+
+
+# |Q| -> (pairs, no residuation, lattices with none, lattices); not yet
+# compared with the literature
+CENSUS = {
+    1: (1, 0, 0, 1),
+    2: (3, 1, 1, 3),
+    3: (6, 5, 5, 6),
+    4: (21, 17, 15, 19),
+    5: (51, 45, 42, 48),
+    6: (190, 165, 136, 159),
+}
+
+
+class TestCensus:
+    @pytest.mark.parametrize("m", sorted(CENSUS))
+    def test_bounded_sum_counts(self, m):
+        pairs = none = lattices = lattices_none = 0
+        for p in posets_of_size(m):
+            for inv in enumerate_antitone_involutions(p):
+                ip = bounded_sum(p, inv)
+                outcome = find_residuations(ip, limit=1)
+                lattice = ip.poset.is_lattice()
+                pairs += 1
+                lattices += lattice
+                if outcome.satisfiable:
+                    assert verify_residuated(outcome.structures[0]).overall
+                else:
+                    none += 1
+                    lattices_none += lattice
+        assert (pairs, none, lattices_none, lattices) == CENSUS[m]
+
+
+class TestDeepSearch:
+    # one level per free cell: 1,225 at 50 elements, past the recursion limit
+    def test_fifty_chain_first_structure(self):
+        outcome = find_residuations(chain_inv(50), limit=1)
+        assert outcome.satisfiable
+        assert outcome.truncated
+        assert verify_residuated(outcome.structures[0]).overall
+
+    def test_cli_mines_fifty_chain(self, tmp_path, capsys):
+        path = tmp_path / "c50.json"
+        assert main(["extend", "cor1", "--n", "50", "--format", "json", "-o", str(path)]) == 0
+        assert main(["mine", "-i", str(path), "--limit", "1"]) == 0
+        assert capsys.readouterr().out.startswith("satisfiable: 1 structure(s) found")
 
 
 class TestConstructionOutputsAccepted:
