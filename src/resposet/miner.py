@@ -34,11 +34,11 @@ from .residuation import (
     verify_residuated,
 )
 
-# The most carrier elements the miner searches.  Its set-up holds n^3
-# candidate flags and lists: a peak of about 2.9 MB at 100 elements,
-# growing to gigabytes at the 1000 a construction may build.  Each leaf
-# derives residuals and verifies through n^3 cubes: a search on the
-# 100-chain peaks at about 20 MB.
+# The most carrier elements the miner searches.  Its set-up holds up to
+# n^3 candidates in per-cell lists: a peak of about 3.2 MB at 100
+# elements, growing to gigabytes at the 1000 a construction may build.
+# Each leaf derives residuals and verifies through n^3 cubes: a search
+# on the 100-chain peaks at about 20 MB.
 MAX_CARRIER = 100
 # The most carrier elements the naive oracle searches: it tries all
 # n^(n(n-1)/2) tables, 4,096 at 4 elements and 9,765,625 at 5.
@@ -112,19 +112,21 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     top, cells = _free_cells(ip, limit)
     p = ip.poset
     n = len(p)
-    leq = p.leq_matrix
     u = p.index(top)
     stats = MinerStats()
 
-    # [v, i, j]: v is a common lower bound of i and j (integrality) ...
-    allowed = leq[:, :, None] & leq[:, None, :]
-    if require_negation:
-        # ... and v is the bottom exactly when i <= j' (negation-zero)
-        inv = np.array(ip.involution.image, dtype=np.int64)
-        is_bottom = np.arange(n) == p.index(p.bounds()[0])
-        allowed &= is_bottom[:, None, None] == leq[None, :, inv]
-    candidates = [np.flatnonzero(c).tolist() for c in allowed[:, cells[:, 0], cells[:, 1]].T]
+    rows = p.leq_matrix.tolist()
+    down = [[a for a in range(n) if rows[a][x]] for x in range(n)]
+    up = [[a for a in range(n) if rows[x][a]] for x in range(n)]
+    inv = ip.involution.image
+    zero = p.index(p.bounds()[0]) if require_negation else -1
     cells = cells.tolist()
+    # x . y is a common lower bound of x and y (integrality) and, when the
+    # negation must match, 0 exactly when x <= y' (negation-zero)
+    candidates = [
+        [v for v in down[i] if rows[v][j] and not (require_negation and (v == zero) != rows[i][inv[j]])]
+        for i, j in cells
+    ]
     sides = [_orientations(i, j) for i, j in cells]
 
     # the table as int rows, -1 where unassigned; preimage[x] lists the
@@ -134,9 +136,6 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     for x in range(n):
         t[u][x] = t[x][u] = x
         preimage[x] += _orientations(u, x)
-    rows = leq.tolist()
-    down = [[a for a in range(n) if rows[a][x]] for x in range(n)]
-    up = [[a for a in range(n) if rows[x][a]] for x in range(n)]
     # at_most[v][w]: w <= v, at_least[v][w]: v <= w; the last entry, which
     # an unassigned cell's -1 looks up, is True
     at_most = [[rows[w][v] for w in range(n)] + [True] for v in range(n)]

@@ -2,7 +2,7 @@
 
 A poset is stored as an ordered tuple of labels plus a dense boolean
 ``leq`` matrix (row i, column j set iff element i is below element j).
-Carriers stay small (constructions reach a few hundred elements), so
+Carriers stay small (constructions build up to 1000 elements), so
 dense matrices and vectorised pair/triple scans are the right tool.
 """
 
@@ -132,13 +132,13 @@ class Poset:
 
 
 def _greatest_lower_bounds(leq: np.ndarray) -> np.ndarray:
-    # g is the meet of i and j iff g <= i, g <= j and g has as many
-    # elements below it as i and j have common lower bounds.
-    common = leq.T.astype(np.int64) @ leq.astype(np.int64)
-    below = leq.sum(axis=0)
-    table = np.full(leq.shape, -1, dtype=np.int64)
-    for g in range(len(leq)):
-        table[np.outer(leq[g], leq[g]) & (common == below[g])] = g
+    # The meet of i and j is the element whose down-set is their common lower
+    # bounds; down-sets (bit i of downs[j] iff i <= j) differ by antisymmetry.
+    downs = [int.from_bytes(r, "little") for r in np.packbits(leq.T, axis=1, bitorder="little")]
+    lookup = {d: g for g, d in enumerate(downs)}
+    table = np.empty(leq.shape, dtype=np.int64)
+    for i, a in enumerate(downs):
+        table[i] = [lookup.get(a & b, -1) for b in downs]
     return table
 
 

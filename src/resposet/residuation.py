@@ -179,9 +179,10 @@ def _residuals(leq: np.ndarray, odot: np.ndarray) -> np.ndarray:
     """arrow[j, k]: index of the greatest a with a . j <= k, -1 where there is none.
 
     odot may hold a subset of the columns; the result has one row per
-    column.  Same count trick as order._greatest_lower_bounds: g is the
-    greatest member of the set {a : a . j <= k} iff it is a member and
-    has every member below it.
+    column.  g is the greatest member of {a : a . j <= k} iff it is a
+    member with every member below it, so the members below g are
+    counted: for an arbitrary table (naive-oracle leaves, residual_of)
+    the member set need not be a down-set to look up.
     """
     member = leq[odot, :]  # [a, j, k]: a . j <= k
     below = np.tensordot(leq.astype(np.int64), member, axes=(0, 0))  # [g, j, k]: members <= g

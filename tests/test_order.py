@@ -10,7 +10,8 @@ from resposet import (
 )
 from resposet import order
 from resposet.errors import CycleDetected, DuplicateLabel, SelfCover, UnknownLabel
-from resposet.fixtures import antichain, letter_cube_boolean, n5
+from resposet.constructions import extend_boolean_theorem5
+from resposet.fixtures import antichain, cube_boolean, letter_cube_boolean, n5
 
 N5_ELEMENTS = ["0", "a", "b", "c", "1"]
 N5_COVERS = [("0", "a"), ("0", "c"), ("a", "b"), ("b", "1"), ("c", "1")]
@@ -40,6 +41,18 @@ def naive_bound(p, x, y, lower=True):
         common = [z for z in p.elements if p.leq(x, z) and p.leq(y, z)]
         best = [z for z in common if all(p.leq(z, w) for w in common)]
     return best[0] if best else None
+
+
+def greatest_lower_bounds_counted(leq: np.ndarray) -> np.ndarray:
+    """Oracle: the meet table by counting common lower bounds (an earlier algorithm)."""
+    # g is the meet of i and j iff g <= i, g <= j and g has as many
+    # elements below it as i and j have common lower bounds.
+    common = leq.T.astype(np.int64) @ leq.astype(np.int64)
+    below = leq.sum(axis=0)
+    table = np.full(leq.shape, -1, dtype=np.int64)
+    for g in range(len(leq)):
+        table[np.outer(leq[g], leq[g]) & (common == below[g])] = g
+    return table
 
 
 class TestFromCovers:
@@ -107,6 +120,16 @@ class TestMeetJoin:
         p = n5()
         for x in p.elements:
             assert p.meet(x, x) == x
+
+    def test_tables_match_counting_oracle(self, small_posets):
+        empty = Poset((), np.zeros((0, 0), dtype=bool))
+        thm5 = extend_boolean_theorem5(cube_boolean(4), 100, verify=False).poset
+        assert len(thm5) == 216
+        for p in [*small_posets, empty, chain_poset(["x"]), thm5]:
+            for q in (p, p.dual()):
+                leq = q.leq_matrix
+                assert np.array_equal(q._meet_table, greatest_lower_bounds_counted(leq))
+                assert np.array_equal(q._join_table, greatest_lower_bounds_counted(leq.T))
 
 
 class TestPredicates:
