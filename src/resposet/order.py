@@ -70,12 +70,26 @@ class Poset:
 
     def covers(self) -> list:
         """Cover pairs (x, y) with y covering x, in element order: the transitive reduction."""
-        strict = self.leq_matrix & ~np.eye(len(self), dtype=bool)
-        # y covers x when no z lies strictly between: a zero in the square of
-        # strict.  In float32 the square runs in BLAS and counts exactly.
-        f = strict.astype(np.float32)
-        red = strict & ((f @ f) == 0)
-        return [(self.elements[i], self.elements[j]) for i, j in np.argwhere(red)]
+        lower, upper = self._reduction
+        return [(self.elements[i], self.elements[j]) for i, j in zip(lower.tolist(), upper.tolist())]
+
+    @cached_property
+    def _reduction(self):
+        """(lower, upper) index arrays of the cover pairs, in element order."""
+        n = len(self)
+        f = self.leq_matrix.astype(np.float32)
+        # (f @ f)[i, j] counts the k with i <= k <= j, so it is 2 exactly when
+        # j covers i.  In float32 the product runs in BLAS and counts exactly;
+        # a quarter of the rows at a time keeps each product at a quarter of
+        # f's bytes, so the reduction stays within verify_residuated's peak.
+        step = max(1, -(-n // 4))
+        dtype = np.min_scalar_type(n - 1)
+        lower, upper = [np.zeros(0, dtype)], [np.zeros(0, dtype)]
+        for start in range(0, n, step):
+            i, j = np.nonzero(f[start:start + step] @ f == 2)
+            lower.append((i + start).astype(dtype))
+            upper.append(j.astype(dtype))
+        return _frozen(np.concatenate(lower)), _frozen(np.concatenate(upper))
 
     @cached_property
     def _meet_table(self) -> np.ndarray:
@@ -89,7 +103,34 @@ class Poset:
 
     @cached_property
     def _distributivity(self):
-        """(verdict, witness) of classify.is_distributive, scanned once per lattice."""
+        """(verdict, witness) of classify.is_distributive, computed once per lattice.
+
+        A finite lattice is distributive iff each join-irreducible element
+        is join-prime (Davey & Priestley, Introduction to Lattices and
+        Order, 2002), so the per-x scan runs only to find the first witness
+        of a "no".
+        """
+        return (True, None) if self._join_prime() else self._distributivity_scan()
+
+    def _join_prime(self) -> bool:
+        """Whether each join-irreducible j is join-prime: j is not below the join of the x with j </= x.
+
+        In a finite lattice j is join-irreducible iff it has exactly one
+        lower cover.
+        """
+        irreducible = np.flatnonzero(np.bincount(self._reduction[1], minlength=len(self)) == 1)
+        if not irreducible.size:
+            return True
+        join, leq = self._join_table, self.leq_matrix
+        above = ~leq[irreducible]  # [j, x]: j </= x
+        # the joins fold from the bottom, which a nonempty finite lattice has
+        acc = np.full(irreducible.size, self.index(self.bounds()[0]))
+        for x in range(len(self)):
+            acc = np.where(above[:, x], join[acc, x], acc)
+        return not leq[irreducible, acc].any()
+
+    def _distributivity_scan(self):
+        """(verdict, witness) with the first violating (x, y, z) in element order."""
         meet, join = self._meet_table, self._join_table
         for x in range(len(self)):
             # [y, z]: x ^ (y v z)  vs  (x ^ y) v (x ^ z)
@@ -121,6 +162,10 @@ class Poset:
 
     def bounds(self):
         """(bottom, top), each None when absent."""
+        return self._bounds
+
+    @cached_property
+    def _bounds(self):
         bottom = top = None
         col_all = self.leq_matrix.all(axis=1)  # element below everything
         row_all = self.leq_matrix.all(axis=0)  # element above everything

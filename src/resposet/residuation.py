@@ -3,7 +3,12 @@
 A ResiduatedStructure stores both operation tables as dense integer
 matrices over the poset's element indices; verification is exhaustive
 over all pairs/triples, vectorized with numpy so even the soundness
-corpus stays fast.
+corpus stays fast.  The triple checks run as [x, y, z] cubes built in
+x-slabs of SLAB_CELLS cells.  Up to one slab (about 100 elements) both
+associativity and adjointness are cubes.  Past one slab, adjointness is
+the Galois test on covers, O(n |covers| + n^2), with the cube kept to
+find the first witness of a failure, and associativity builds half its
+cube once commutativity holds.
 """
 
 from dataclasses import dataclass
@@ -15,7 +20,10 @@ from .involution import _antitone
 from .order import Poset
 from .report import VerificationReport, failed, passed, verdict
 
-SLAB_CELLS = 1 << 20  # cells per x-slab of a triple check; carriers up to ~100 elements take one slab
+# cells per x-slab of a triple check; carriers up to ~100 elements take one
+# slab.  It also decides how verify_residuated checks adjointness: as a cube
+# up to one slab, by the Galois test past it.
+SLAB_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,13 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
     Checks, in order: unit-greatest, commutativity, associativity,
     unit-law, adjointness.  A failed check carries the first violating
     tuple in element order.
+
+    Associativity is an [x, y, z] cube built one slab at a time.  Up to
+    one slab (n**3 <= SLAB_CELLS) adjointness is a cube too.  Past it,
+    the Galois test on covers (_galois) decides adjointness, and the
+    adjointness cube is built only when that test fails, to find the
+    first witness; once commutativity holds, each associativity slab
+    skips the columns z below its first row.
     """
     p = s.poset
     leq = p.leq_matrix
@@ -99,38 +114,90 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
     els = p.elements
     n = len(p)
     u = p.index(s.unit)
+    # the triple checks take xs, a slice of x rows, and zs, a slice of z
+    # columns, and give [x, y, z] cubes
+    if n**3 > SLAB_CELLS and _galois(s):
+        adjointness = passed("adjointness")
+    else:
+        # x . y <= z  vs  x <= y -> z
+        adjointness = _slabbed(
+            "adjointness", lambda xs, zs: leq[O[xs], zs] != leq[xs][:, A[:, zs]], els
+        )
+    commutativity = verdict("commutativity", O != O.T, els)
     # the associativity cube is gathered from O's values; in the smallest
     # dtype that holds an index (one byte up to 256 elements) it moves a
-    # fraction of the int64 bytes
+    # fraction of the int64 bytes.  It is made after the adjointness check,
+    # so that check's chunks never share the memory with it.
     small = O.astype(np.min_scalar_type(n - 1))
-    # the triple checks take xs, a slice of x rows, and give [x, y, z] cubes
     return VerificationReport(
         (
             verdict("unit-greatest", ~leq[:, u], els),
-            verdict("commutativity", O != O.T, els),
-            # (x . y) . z  vs  x . (y . z)
-            _slabbed("associativity", lambda xs: small[O[xs], :] != small[xs][:, O], els),
+            commutativity,
+            # (x . y) . z  vs  x . (y . z); when O is commutative, (x, y, z)
+            # fails iff (z, y, x) does, so the first failure has x <= z
+            _slabbed(
+                "associativity",
+                lambda xs, zs: small[O[xs], zs] != small[xs][:, O[:, zs]],
+                els,
+                z_from_x=commutativity.passed,
+            ),
             verdict("unit-law", O[u, :] != np.arange(n), els),
-            # x . y <= z  vs  x <= y -> z
-            _slabbed("adjointness", lambda xs: leq[O[xs], :] != leq[xs][:, A], els),
+            adjointness,
         )
     )
 
 
-def _slabbed(name, bad_rows, els):
+def _slabbed(name, bad_rows, els, z_from_x=False):
     """verdict over an [x, y, z] cube built SLAB_CELLS cells at a time, in x order.
 
     Stops at the first slab with a violation; its first cell, shifted by
-    the slab start, is the first violation of the whole cube.
+    the slab start, is the first violation of the whole cube.  With
+    z_from_x the slab that starts at row s takes only the columns z >= s,
+    which holds the first violation when it has x <= z.
     """
     n = len(els)
     rows = max(1, SLAB_CELLS // (n * n))
     for start in range(0, n, rows):
-        bad = bad_rows(slice(start, start + rows))
+        z0 = start if z_from_x else 0
+        bad = bad_rows(slice(start, start + rows), slice(z0, n))
         if bad.any():
             x, y, z = np.argwhere(bad)[0]
-            return failed(name, (els[start + x], els[y], els[z]))
+            return failed(name, (els[start + x], els[y], els[z0 + z]))
     return passed(name)
+
+
+def _galois(s: ResiduatedStructure) -> bool:
+    """Adjointness as a Galois connection, in O(n |covers| + n^2) cells.
+
+    For each y, f(x) = x . y and g(z) = y -> z satisfy f(x) <= z iff
+    x <= g(z) exactly when f and g are monotone, f(g(z)) <= z and
+    x <= g(f(x)) (Blyth & Janowitz, Residuation Theory, 1972); a map on
+    a finite poset is monotone when it is monotone on covers.  The
+    second half is the first on the dual order, with f and g swapped.
+    """
+    leq, lower, upper = s.poset.leq_matrix, *s.poset._reduction
+    # f and g as [y, x] tables
+    f, g = s.odot.T, s.arrow
+    return _galois_half(leq, f, g, lower, upper) and _galois_half(leq.T, g, f, upper, lower)
+
+
+def _galois_half(leq, f, g, lower, upper) -> bool:
+    """Each f[y] is monotone on the covers (lower, upper) and f[y][g[y][z]] <= z.
+
+    The y rows go SLAB_CELLS cells at a time, with f's values in the
+    smallest index dtype.
+    """
+    n = len(leq)
+    rows = max(1, SLAB_CELLS // max(n, len(lower)))
+    zs = np.arange(n)
+    for start in range(0, n, rows):
+        ys = slice(start, start + rows)
+        fy = f[ys].astype(np.min_scalar_type(n - 1))
+        if not leq[fy[:, lower], fy[:, upper]].all():
+            return False
+        if not leq[fy[np.arange(len(fy))[:, None], g[ys]], zs].all():
+            return False
+    return True
 
 
 def _negation(s: ResiduatedStructure) -> np.ndarray:

@@ -2,6 +2,8 @@ import pytest
 
 from resposet import (
     check_pseudo_kleene,
+    extend_boolean_theorem5,
+    extend_theorem2,
     is_distributive,
     recognize_boolean,
 )
@@ -52,6 +54,21 @@ class TestDistributivity:
                 continue
             ok, _ = is_distributive(p)
             assert ok == naive_distributive(p)
+
+    def test_join_prime_verdict_matches_the_scan(self, small_posets):
+        # the scan stays the reference, and it gives every "no" its witness
+        lattices = [p for p in small_posets if p.is_lattice()]
+        lattices += [
+            extend_boolean_theorem5(cube_boolean(4), n, verify=False).poset for n in (10, 100)
+        ]
+        lattices.append(extend_theorem2(n5_involuted(), 10, verify=False).poset)
+        verdicts = set()
+        for p in lattices:
+            scan = p._distributivity_scan()
+            assert p._join_prime() == scan[0]
+            assert is_distributive(p) == scan
+            verdicts.add(scan[0])
+        assert verdicts == {True, False}
 
     def test_non_lattice_rejected(self):
         with pytest.raises(NotALattice):

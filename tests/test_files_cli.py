@@ -450,6 +450,16 @@ class TestCli:
         assert main(["classify", "-i", "builtin:cube16"]) == 0
         assert len(scans) == 1
 
+    def test_extend_reduces_the_order_once(self, monkeypatch, tmp_path):
+        # past one slab verify_residuated's Galois test reads the covers,
+        # and the JSON writer reads the same cached reduction
+        prop = Poset.__dict__["_reduction"]
+        reductions = []
+        reduce = prop.func
+        monkeypatch.setattr(prop, "func", lambda p: reductions.append(p) or reduce(p))
+        assert main(["extend", "cor1", "--n", "130", "-o", str(tmp_path / "c.json")]) == 0
+        assert len(reductions) == 1
+
     @pytest.mark.parametrize(
         "argv, checks",
         [

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,16 +10,27 @@ from resposet import (
     check_integrality,
     check_lemma1,
     derived_negation,
+    extend_boolean_theorem5,
     extend_theorem1,
+    extend_theorem3,
     replay_check,
     residual_of,
     structure_from_tables,
     verify_residuated,
 )
 from resposet.errors import NoBottom, UnknownLabel
-from resposet.fixtures import antichain, kleene_six, n5, n5_involuted, pseudo_kleene_nine
+from resposet.fixtures import (
+    antichain,
+    chain_involuted,
+    cube_boolean,
+    kleene_six,
+    n5,
+    n5_involuted,
+    pseudo_kleene_nine,
+)
 from resposet.order import poset_from_covers
-from resposet.residuation import SLAB_CELLS, ResiduatedStructure, is_monotone
+from resposet.report import VerificationReport, failed, passed, verdict
+from resposet.residuation import SLAB_CELLS, ResiduatedStructure, _galois, is_monotone
 
 
 def two_element_boolean():
@@ -40,6 +52,71 @@ def corrupt(s, which, x, y, value):
     odot = table if which == "odot" else np.array(s.odot)
     arrow = table if which == "arrow" else np.array(s.arrow)
     return ResiduatedStructure(s.poset, s.unit, odot, arrow)
+
+
+def verify_residuated_cubes(s: ResiduatedStructure) -> VerificationReport:
+    """Reference oracle: verify_residuated as it was with both triple checks as cubes."""
+    p = s.poset
+    leq = p.leq_matrix
+    O, A = s.odot, s.arrow
+    els = p.elements
+    n = len(p)
+    u = p.index(s.unit)
+    # the associativity cube is gathered from O's values; in the smallest
+    # dtype that holds an index (one byte up to 256 elements) it moves a
+    # fraction of the int64 bytes
+    small = O.astype(np.min_scalar_type(n - 1))
+    # the triple checks take xs, a slice of x rows, and give [x, y, z] cubes
+    return VerificationReport(
+        (
+            verdict("unit-greatest", ~leq[:, u], els),
+            verdict("commutativity", O != O.T, els),
+            # (x . y) . z  vs  x . (y . z)
+            _slabbed_cubes("associativity", lambda xs: small[O[xs], :] != small[xs][:, O], els),
+            verdict("unit-law", O[u, :] != np.arange(n), els),
+            # x . y <= z  vs  x <= y -> z
+            _slabbed_cubes("adjointness", lambda xs: leq[O[xs], :] != leq[xs][:, A], els),
+        )
+    )
+
+
+def _slabbed_cubes(name, bad_rows, els):
+    """verdict over an [x, y, z] cube built SLAB_CELLS cells at a time, in x order.
+
+    Stops at the first slab with a violation; its first cell, shifted by
+    the slab start, is the first violation of the whole cube.
+    """
+    n = len(els)
+    rows = max(1, SLAB_CELLS // (n * n))
+    for start in range(0, n, rows):
+        bad = bad_rows(slice(start, start + rows))
+        if bad.any():
+            x, y, z = np.argwhere(bad)[0]
+            return failed(name, (els[start + x], els[y], els[z]))
+    return passed(name)
+
+
+def mutate(s, rng, kind, low=0):
+    """s with one random cell (i, j), i, j >= low, changed.
+
+    kind says which: an odot cell and its mirror, an odot cell alone, or
+    an arrow cell.
+    """
+    n = len(s.elements)
+    O, A = np.array(s.odot), np.array(s.arrow)
+    i, j = rng.randrange(low, n), rng.randrange(low, n)
+    table = A if kind == "arrow" else O
+    value = rng.choice([v for v in range(n) if v != table[i, j]])
+    table[i, j] = value
+    if kind == "odot-symmetric":
+        O[j, i] = value
+    return ResiduatedStructure(s.poset, s.unit, O, A)
+
+
+def adjointness_cube(s):
+    """[x, y, z]: x . y <= z differs from x <= y -> z."""
+    leq = s.poset.leq_matrix
+    return leq[s.odot, :] != leq[:, s.arrow]
 
 
 def naive_adjointness(s):
@@ -95,6 +172,76 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20  # one n^3 int64 cube alone is 61 MB
+
+    @pytest.mark.parametrize(
+        "carrier",
+        [
+            lambda: chain_residuation(130, verify=False).structure,
+            lambda: extend_theorem3(n5(), 38, 40, verify=False).structure,
+        ],
+        ids=["cor1-130", "thm3-38-40"],
+    )
+    def test_mutations_past_one_slab_match_the_cubes(self, carrier):
+        # past one slab, adjointness is the Galois test and associativity
+        # half a cube; the whole report, first witnesses included, is the cubes'
+        s = carrier()
+        n = len(s.elements)
+        assert n**3 > SLAB_CELLS
+        rng = random.Random(n)
+        past = 0  # associativity witnesses past the first slab
+        for kind in ("odot-symmetric", "odot", "arrow") * 8:
+            # cells in the second half give witnesses past the first slab too
+            bad = mutate(s, rng, kind, low=n // 2)
+            report = verify_residuated(bad)
+            assert str(report) == str(verify_residuated_cubes(bad))
+            witness = report.check("associativity").witness
+            past += witness is not None and s.poset.index(witness[0]) >= SLAB_CELLS // n**2
+        assert past > 0
+
+    def test_noncommutative_odot_takes_the_whole_cube(self):
+        # with x . y != y . x the first failure can have z below its slab
+        s = chain_residuation(150).structure
+        O = np.array(s.odot)
+        O[100, 10] = 90
+        bad = ResiduatedStructure(s.poset, s.unit, O, np.array(s.arrow))
+        report = verify_residuated(bad)
+        assert str(report) == str(verify_residuated_cubes(bad))
+        x, _, z = map(s.poset.index, report.check("associativity").witness)
+        rows = SLAB_CELLS // len(s.elements) ** 2
+        assert z < x // rows * rows
+
+    def test_fault_injection_matches_the_cubes(self):
+        # the faults of acceptance criterion 9, drawn in the same order
+        rng = random.Random(20250825)
+        pool = [
+            extend_theorem1(chain_involuted(3)).structure,
+            chain_residuation(6).structure,
+            extend_boolean_theorem5(cube_boolean(2), 1).structure,
+        ]
+        for _ in range(120):
+            s = rng.choice(pool)
+            which = rng.choice(["odot", "arrow"])
+            els = s.elements
+            x, y = rng.choice(els), rng.choice(els)
+            old = getattr(s, which)[s.poset.index(x), s.poset.index(y)]
+            bad = corrupt(s, which, x, y, els[rng.choice([v for v in range(len(els)) if v != old])])
+            assert str(verify_residuated(bad)) == str(verify_residuated_cubes(bad))
+
+    def test_galois_test_matches_the_cube_on_the_corpus(self, involuted_corpus):
+        # the corpus carriers are one slab, so verify_residuated never
+        # reaches the Galois test on them: call it directly.  Each of
+        # x . y and y -> z determines the other, so every mutation breaks
+        # adjointness.
+        rng = random.Random(13)
+        kinds = ("odot-symmetric", "odot", "arrow")
+        adjoint = 0
+        for k, ip in enumerate(involuted_corpus):
+            s = extend_theorem1(ip, verify=False).structure
+            for t in (s, mutate(s, rng, kinds[k % 3])):
+                holds = not adjointness_cube(t).any()
+                assert _galois(t) == holds
+                adjoint += holds
+        assert adjoint == len(involuted_corpus)
 
     def test_slab_witness_is_first_in_element_order(self):
         s = chain_residuation(150).structure
