@@ -196,26 +196,55 @@ def structure_to_doc(s: ResiduatedStructure, involution=None, provenance=None) -
 
 
 def dump(doc: dict, stream):
-    """Write what json.dump(doc, stream, indent=2, ensure_ascii=False) writes, and a newline."""
-    stream.writelines(_indented(doc, 0))
+    """Write what json.dump(doc, stream, indent=2, ensure_ascii=False) writes, and a newline.
+
+    An operation table repeats its n labels in n^2 cells, so each string is
+    encoded once per call and each string-keyed, string-valued dict (a
+    table row, the involution) is joined from a cached frame of its encoded
+    keys.  Everything else goes through json's own encoder, see _indented.
+    """
+    stream.writelines(_indented(doc, 0, _Encoded(), {}))
     stream.write("\n")
+
+
+class _Encoded(dict):
+    """Each string as json writes it, encoded on first lookup; TypeError for anything else."""
+
+    def __missing__(self, s):
+        text = self[s] = json.encoder.encode_basestring(s)
+        return text
 
 
 _CONTAINERS = (dict, list, tuple)
 
 
-def _indented(o, level):
+def _indented(o, level, encoded, frames):
     """The text of o nested ``level`` deep, in pieces of one row or less.
 
     json.dump with an indent encodes in pure Python.  A container holding no
-    non-empty container is one row here: json's C encoder writes it whole,
-    with an item separator that carries the line break and indent.  Only
-    the containers above the rows are walked in Python.
+    non-empty container is one row here.  A dict row of strings only is its
+    frame from ``frames``, one per depth and key sequence, with the values
+    from ``encoded`` in every other slot; the first key or value that is not
+    a string makes ``encoded`` raise TypeError.  Any other row goes to
+    json's C encoder whole, with an item separator that carries the line
+    break and indent: it is the only path for numbers, booleans and None,
+    which a memo keyed by value would conflate (1 == 1.0 == True).  Only the
+    containers above the rows are walked in Python.
     """
     is_dict = isinstance(o, dict)
+    if is_dict:
+        try:
+            cells = list(map(encoded.__getitem__, o.values()))
+            frame = _frame(tuple(o), level, encoded, frames)
+        except TypeError:
+            pass
+        else:
+            frame[1::2] = cells
+            yield "".join(frame)
+            return
     values = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
     inner = "\n" + "  " * (level + 1)
-    # the types first: a table row holds a few hundred strings of one type
+    # the types first: the elements and the tables hold a few hundred values of one type
     if not (
         any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
         and any(isinstance(v, _CONTAINERS) and v for v in values)
@@ -225,10 +254,24 @@ def _indented(o, level):
         return
     for i, (key, value) in enumerate(o.items() if is_dict else enumerate(o)):
         yield ("{" if is_dict else "[") + inner if i == 0 else "," + inner
-        if is_dict:  # the key as json writes it, str() of a number included
+        if isinstance(key, str):  # a dict key: a list's keys are its int indices
+            yield encoded[key] + ": "
+        elif is_dict:  # the key as json writes it, str() of a number included
             yield _row_encoder(level).encode({key: None})[1:-len(": null}")] + ": "
-        yield from _indented(value, level + 1)
+        yield from _indented(value, level + 1, encoded, frames)
     yield inner[:-2] + ("}" if is_dict else "]")
+
+
+def _frame(keys, level, encoded, frames):
+    """The pieces of a dict row with these string keys, a None slot after each key."""
+    frame = frames.get((level, keys))
+    if frame is None:
+        inner = "\n" + "  " * (level + 1)
+        pieces = [("{" if i == 0 else ",") + inner + encoded[k] + ": " for i, k in enumerate(keys)]
+        frame = [x for piece in pieces for x in (piece, None)]
+        frame.append(inner[:-2] + "}" if keys else "{}")
+        frames[level, keys] = frame
+    return frame
 
 
 @functools.cache

@@ -6,30 +6,30 @@ import io
 import numpy as np
 
 from .order import Poset
-from .residuation import ResiduatedStructure
+from .residuation import ResiduatedStructure, _label_rows
 
 ODOT = "⊙"   # circled dot
 ARROW = "→"  # rightwards arrow
 
 
-def _rows(elements, table):
-    """(row label, cell labels) for each row of an index table, in element order."""
-    for x, row in zip(elements, table.tolist()):
-        yield x, list(map(elements.__getitem__, row))
-
-
 def _one_table(symbol, elements, table):
+    n = len(elements)
     lengths = np.array([len(x) for x in elements])
     first = max(len(symbol), int(lengths.max()))
     # a column is as wide as its header or its widest cell
     widths = np.maximum(lengths, lengths[table].max(axis=0)).tolist()
+    # every label padded once to each width in use, a block of n per width;
+    # column j reads its cells from the block of its width, at base[j]
+    offset = {w: i * n for i, w in enumerate(set(widths))}
+    padded = np.array([x.ljust(w) for w in offset for x in elements], dtype=object)
+    base = np.array([offset[w] for w in widths])
 
     def fmt_row(label, cells):
-        return f"{label.ljust(first)} | {' '.join(map(str.ljust, cells, widths))}".rstrip()
+        return f"{label.ljust(first)} | {' '.join(cells)}".rstrip()
 
-    lines = [fmt_row(symbol, elements)]
+    lines = [fmt_row(symbol, map(str.ljust, elements, widths))]
     lines.append("-" * first + "-+-" + "-" * (sum(widths) + len(widths) - 1))
-    lines.extend(fmt_row(x, cells) for x, cells in _rows(elements, table))
+    lines.extend(fmt_row(x, padded[base + row].tolist()) for x, row in zip(elements, table))
     return "\n".join(lines)
 
 
@@ -43,7 +43,7 @@ def render_tables(s: ResiduatedStructure, fmt="text") -> str:
         writer = csv.writer(buf, lineterminator="\n")
         for symbol, table in ((ODOT, s.odot), (ARROW, s.arrow)):
             writer.writerow([symbol, *els])
-            writer.writerows([x, *cells] for x, cells in _rows(els, table))
+            writer.writerows([x, *cells] for x, cells in zip(els, _label_rows(els, table)))
             if symbol == ODOT:
                 writer.writerow([])
         return buf.getvalue()

@@ -11,6 +11,7 @@ find the first witness of a failure, and associativity builds half its
 cube once commutativity holds.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +67,14 @@ class ResiduatedStructure:
 
     def table_as_labels(self, which: str) -> dict:
         """Nested dict {row: {col: value}} in element order; which is 'odot' or 'arrow'."""
-        table = self.odot if which == "odot" else self.arrow
         els = self.elements
-        return {
-            x: dict(zip(els, map(els.__getitem__, row))) for x, row in zip(els, table.tolist())
-        }
+        rows = _label_rows(els, self.odot if which == "odot" else self.arrow)
+        return dict(zip(els, map(dict, map(zip, itertools.repeat(els), rows))))
+
+
+def _label_rows(elements, table):
+    """The rows of an index table as lists of labels, by one object-array lookup."""
+    return np.array(elements, dtype=object)[table].tolist()
 
 
 def structure_from_tables(p: Poset, unit: str, odot_map: dict, arrow_map: dict) -> ResiduatedStructure:

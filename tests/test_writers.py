@@ -10,6 +10,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from resposet.files import Bundle, dump, to_doc
@@ -51,15 +52,60 @@ def structures(draw):
     return Bundle(p, ip, s, draw(st.none() | st.dictionaries(st.text(ODD, max_size=3), JSON)))
 
 
+def json_dump_text(doc):
+    buf = io.StringIO()
+    json.dump(doc, buf, indent=2, ensure_ascii=False)
+    return buf.getvalue() + "\n"
+
+
+def dump_text(doc):
+    buf = io.StringIO()
+    dump(doc, buf)
+    return buf.getvalue()
+
+
 @given(structures())
 def test_dump_writes_what_json_dump_writes(bundle):
     doc = to_doc(bundle)
-    expected = io.StringIO()
-    json.dump(doc, expected, indent=2, ensure_ascii=False)
-    expected.write("\n")
-    got = io.StringIO()
-    dump(doc, got)
-    assert got.getvalue() == expected.getvalue()
+    assert dump_text(doc) == json_dump_text(doc)
+
+
+# Rows that must leave the cached-frame path for json's encoder, or share a
+# frame or an encoded string only where json writes the same text.
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"row": {"a": "x", "b": 1}},
+        {"row": {"a": "x", "b": None}},
+        {"row": {"a": "x", "b": True}},
+        {"row": {"a": "x", "b": 1.5}},
+        {"row": {"a": "x", "b": ["y", 2]}},
+        {"row": {"a": "x", "b": []}},
+        {"row": {1: "x", "b": "y"}},
+        {"row": {"a": "x", None: "y"}},
+        {"s": {"1": "true"}, "t": {1: True}},
+        {"t": {1: True}, "s": {"1": "true"}},
+        {"a": {"1": "1"}, "b": {1: 1.0}, "c": {True: 1}, "d": {"1": "1"}},
+        [{"1": "true"}, {1: True}, {"1": "true"}],
+        {"a": "b", "x": {"a": "b", "y": {"a": "b"}}},
+        {"x": {"k": "v", "j": "w"}, "y": [{"k": "v", "j": "w"}, {"k": "w", "j": "v"}]},
+        {},
+        {"a": {}},
+        {"a": {}, "b": {"c": "d"}, "e": [{}]},
+    ],
+)
+def test_dump_matches_json_dump_at_the_frame_gate(doc):
+    assert dump_text(doc) == json_dump_text(doc)
+
+
+@given(structures())
+def test_table_as_labels_matches_the_cell_lookups(bundle):
+    s = bundle.structure
+    for which, cell in (("odot", s.odot_of), ("arrow", s.arrow_of)):
+        table = s.table_as_labels(which)
+        assert list(table) == list(s.elements)
+        for x in s.elements:
+            assert list(table[x].items()) == [(y, cell(x, y)) for y in s.elements]
 
 
 def reference_tables(s, fmt):
@@ -97,3 +143,30 @@ def reference_tables(s, fmt):
 def test_render_tables_matches_the_cell_by_cell_reference(bundle):
     for fmt in ("text", "csv"):
         assert render_tables(bundle.structure, fmt) == reference_tables(bundle.structure, fmt)
+
+
+def test_writers_at_real_size():
+    """140 labels of 1 to 14 characters with every kind of character to escape.
+
+    Hundreds of rows reuse one frame and most labels recur in every row;
+    the odot table is the chain meet, so column j is as wide as label j and
+    the text tables hold columns of many widths.
+    """
+    odd = ['"', "\\", "\x00", "\x1f", "\n", "\t", "é", "☃", "𝔹", "/", "~", " ", "a", "b"]
+    rng = np.random.default_rng(7)
+    labels = []
+    while len(labels) < 140:
+        x = "".join(rng.choice(odd, 1 + len(labels) // 10))
+        if x not in labels:
+            labels.append(x)
+    n = len(labels)
+    p = chain_poset(labels)
+    meet = np.minimum.outer(np.arange(n), np.arange(n))
+    s = ResiduatedStructure(p, labels[-1], meet, rng.integers(0, n, (n, n)))
+    widths = {max(len(labels[k]) for k in column) for column in s.odot.T}
+    assert len(widths) >= 2
+    bundle = Bundle(p, involuted(p, dict(zip(labels, labels[::-1]))), s, {"n": n, "k": ["é", 0]})
+    doc = to_doc(bundle)
+    assert dump_text(doc) == json_dump_text(doc)
+    for fmt in ("text", "csv"):
+        assert render_tables(s, fmt) == reference_tables(s, fmt)
