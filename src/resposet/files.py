@@ -32,7 +32,7 @@ from .order import Poset, poset_from_relation
 from .residuation import ResiduatedStructure
 
 _KNOWN_FIELDS = {"elements", "covers", "involution", "unit", "odot", "arrow", "provenance"}
-_GENERATED = re.compile(r"^#c[0-9]+$")
+_GENERATED = re.compile(r"#c[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def _string(x, path):
 
 def _check_label(x, path):
     _string(x, path)
-    if x.startswith("#") and not _GENERATED.match(x):
+    if x.startswith("#") and not _GENERATED.fullmatch(x):
         raise ReservedLabel(
             f"label {x!r}: the '#' prefix is reserved for generated chain elements"
         )

@@ -35,10 +35,9 @@ from .residuation import (
 )
 
 # The most carrier elements the miner searches.  Its set-up holds up to
-# n^3 candidates in per-cell lists: a peak of about 3.2 MB at 100
-# elements, growing to gigabytes at the 1000 a construction may build.
-# Each leaf derives residuals and verifies through n^3 cubes: a search
-# on the 100-chain peaks at about 20 MB.
+# n^3 candidates in per-cell lists: about 3.2 MB at 100 elements, gigabytes
+# at the 1000 a construction may build.  With the n^3 cubes of its leaves,
+# a search on the 100-chain peaks at about 6.5 MB.
 MAX_CARRIER = 100
 # The most carrier elements the naive oracle searches: it tries all
 # n^(n(n-1)/2) tables, 4,096 at 4 elements and 9,765,625 at 5.
@@ -58,7 +57,10 @@ class MinerStats:
 
 
 def _leaf(ip: InvolutedPoset, top, table: np.ndarray, require_negation):
-    """The structure a complete monoid table defines, or the prune rule that rejects it."""
+    """The structure a complete monoid table defines, or the prune rule that rejects it.
+
+    residual-missing: no arrow is adjoint to the table.
+    """
     arrow = _residuals(ip.poset.leq_matrix, table)
     if (arrow < 0).any():
         return "residual-missing"

@@ -247,18 +247,15 @@ def check_integrality(s: ResiduatedStructure) -> VerificationReport:
 
 
 def _residuals(leq: np.ndarray, odot: np.ndarray) -> np.ndarray:
-    """arrow[j, k]: index of the greatest a with a . j <= k, -1 where there is none.
+    """arrow[j, k]: the element whose down-set is {a : a . j <= k}, -1 where there is none.
 
-    odot may hold a subset of the columns; the result has one row per
-    column.  g is the greatest member of {a : a . j <= k} iff it is a
-    member with every member below it, so the members below g are
-    counted: for an arbitrary table (naive-oracle leaves, residual_of)
-    the member set need not be a down-set to look up.
+    By adjointness that element is j -> k (Blyth & Janowitz, 1972).  Only the
+    member with the largest down-set can have the member set as its down-set.
     """
     member = leq[odot, :]  # [a, j, k]: a . j <= k
-    below = np.tensordot(leq.astype(np.int64), member, axes=(0, 0))  # [g, j, k]: members <= g
-    greatest = member & (below == member.sum(axis=0))
-    return np.where(greatest.any(axis=0), greatest.argmax(axis=0), -1)
+    size = leq.sum(axis=0, dtype=np.min_scalar_type(len(leq)))  # [g]: |down-set of g|
+    g = (member * size[:, None, None]).argmax(axis=0)  # non-members score 0
+    return np.where((leq[:, g] == member).all(axis=0), g, -1)
 
 
 def residual_of(p: Poset, odot: np.ndarray, b, c):
@@ -266,8 +263,9 @@ def residual_of(p: Poset, odot: np.ndarray, b, c):
 
     A reference oracle: the tests compare it with the arrow tables.
     """
-    k = _residuals(p.leq_matrix, odot[:, [p.index(b)]])[0, p.index(c)]
-    return None if k < 0 else p.elements[k]
+    leq, j, k = p.leq_matrix, p.index(b), p.index(c)
+    members = [a for a in range(len(p)) if leq[odot[a, j], k]]
+    return next((p.elements[g] for g in members if leq[members, g].all()), None)
 
 
 def is_monotone(p: Poset, odot: np.ndarray) -> bool:

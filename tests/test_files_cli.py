@@ -92,9 +92,19 @@ class TestSchema:
         assert bundle.structure == res.structure
         assert bundle.involution == res.involution
 
-    def test_reserved_label_rejected(self):
+    def test_reserved_label_rejected(self, tmp_path, capsys):
         with pytest.raises(ReservedLabel):
             parse_structure({"elements": ["#mine"], "covers": []})
+        # a generated label with a trailing line break is not a generated label
+        doc = {"elements": ["#c1\n"], "covers": []}
+        with pytest.raises(ReservedLabel):
+            parse_structure(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["show", "-i", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SchemaViolation) as exc:

@@ -12,6 +12,7 @@ from resposet import (
     derived_negation,
     extend_boolean_theorem5,
     extend_theorem1,
+    extend_theorem2,
     extend_theorem3,
     replay_check,
     residual_of,
@@ -30,7 +31,13 @@ from resposet.fixtures import (
 )
 from resposet.order import poset_from_covers
 from resposet.report import VerificationReport, failed, passed, verdict
-from resposet.residuation import SLAB_CELLS, ResiduatedStructure, _galois, is_monotone
+from resposet.residuation import (
+    SLAB_CELLS,
+    ResiduatedStructure,
+    _galois,
+    _residuals,
+    is_monotone,
+)
 
 
 def two_element_boolean():
@@ -386,13 +393,26 @@ class TestResidual:
         # reference: the members of {a : a . b <= c}, then the one with every member below it
         rng = np.random.default_rng(11)
         els = poset.elements
-        for _ in range(40):
-            odot = rng.integers(len(els), size=(len(els), len(els)))
+        leq, top = poset.leq_matrix, poset.bounds()[1]
+        tables = [rng.integers(len(els), size=(len(els), len(els))) for _ in range(40)]
+        if poset.is_lattice():
+            # each random table here leaves some cell without a residual; the
+            # meet of a distributive lattice (kleene6) leaves none
+            tables.append(np.array([[poset.index(poset.meet(x, y)) for y in els] for x in els]))
+        for odot in tables:
+            arrow = _residuals(leq, odot)
             for b in els:
                 for c in els:
                     members = [a for a in els if poset.leq(els[odot[poset.index(a), poset.index(b)]], c)]
                     greatest = [g for g in members if all(poset.leq(a, g) for a in members)]
                     assert residual_of(poset, odot, b, c) == (greatest[0] if greatest else None)
+                    # _residuals keeps the greatest member only where the members form a down-set
+                    down_set = all(x in members for m in members for x in els if poset.leq(x, m))
+                    expected = poset.index(greatest[0]) if greatest and down_set else -1
+                    assert arrow[poset.index(b), poset.index(c)] == expected
+            if (arrow >= 0).all():
+                s = ResiduatedStructure(poset, top, odot, arrow)
+                assert verify_residuated(s).check("adjointness").passed
 
 
 class TestAdjointnessMetatheorem:
@@ -414,6 +434,11 @@ class TestAdjointnessMetatheorem:
             for b in s.elements:
                 for c in s.elements:
                     assert residual_of(s.poset, s.odot, b, c) == s.arrow_of(b, c)
+        # every pair: the residuals by definition are the construction's arrow
+        for ip in involuted_corpus:
+            for res in (extend_theorem1(ip, verify=False), extend_theorem2(ip, 2, verify=False)):
+                s = res.structure
+                assert np.array_equal(_residuals(s.poset.leq_matrix, s.odot), s.arrow)
 
 
 class TestWitnessReplay:
