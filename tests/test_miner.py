@@ -1,4 +1,6 @@
 import tracemalloc
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,12 +23,14 @@ from resposet.fixtures import (
     antichain,
     chain,
     chain_involuted,
+    cube_boolean,
     kleene_six_involuted,
     n5_involuted,
     pseudo_kleene_nine_involuted,
 )
-from resposet.miner import MAX_CARRIER, MinerOutcome, MinerStats, _free_cells, _leaf
+from resposet.miner import MAX_CARRIER, MinerOutcome, MinerStats, _free_cells, _leaf_check
 from resposet.order import poset_from_covers, poset_from_relation
+from resposet.residuation import ResiduatedStructure, _negation, _residuals
 
 
 def chain_inv(n):
@@ -94,12 +98,30 @@ class TestOracleAgreement:
                 assert a == b  # both searches emit lexicographic table order
 
 
+def leaf_reference(ip, unit, table, require_negation):
+    """Reference oracle: the structure one complete table defines, or the prune rule that rejects it.
+
+    The arrow by _residuals, then verify_residuated, then the negation.
+    residual-missing: no arrow is adjoint to the table.
+    """
+    arrow = _residuals(ip.poset.leq_matrix, table)
+    if (arrow < 0).any():
+        return "residual-missing"
+    s = ResiduatedStructure(ip.poset, unit, table, arrow)
+    if not verify_residuated(s).overall:
+        return "verification"
+    if require_negation and not np.array_equal(_negation(s), ip.involution.image):
+        return "negation-mismatch"
+    return s
+
+
 def find_residuations_rescan(ip, require_negation=True, limit=16):
     """Reference oracle: the pruned search with a full numpy rescan at every node.
 
-    The same cells, candidates, prune rules and leaf as find_residuations,
-    but monotonicity compares the new cell with every assigned cell and
-    associativity rebuilds the whole n^3 cube of (a . b) . c and a . (b . c).
+    The same cells, candidates and prune rules as find_residuations, with
+    each leaf checked on its own by leaf_reference; but monotonicity
+    compares the new cell with every assigned cell and associativity
+    rebuilds the whole n^3 cube of (a . b) . c and a . (b . c).
     """
     top, cells = _free_cells(ip, limit)
     p = ip.poset
@@ -134,7 +156,7 @@ def find_residuations_rescan(ip, require_negation=True, limit=16):
     def search(pos):
         nonlocal truncated
         if pos == len(cells):
-            leaf = _leaf(ip, top, t.copy(), require_negation)
+            leaf = leaf_reference(ip, top, t.copy(), require_negation)
             if isinstance(leaf, str):
                 stats.prune(leaf)
             else:
@@ -187,6 +209,86 @@ class TestRescanOracle:
         assert searches == 220
 
 
+def naive_tables(ip):
+    """Every commutative table with the top as unit, in the naive oracle's order, as a stack."""
+    top, cells = _free_cells(ip, 1)
+    n = len(ip.poset)
+    u = ip.poset.index(top)
+    rows, cols = cells.T
+    tables = []
+    for values in product(range(n), repeat=len(cells)):
+        table = np.zeros((n, n), dtype=np.int64)
+        table[u, :] = table[:, u] = np.arange(n)
+        table[rows, cols] = table[cols, rows] = values
+        tables.append(table)
+    return top, np.array(tables)
+
+
+def sugihara3():
+    """The 3-chain -1 < 0 < 1 with the odd Sugihara monoid: unit 0, the middle, not the top.
+
+    x . y is whichever of x, y has the larger absolute value, the smaller
+    one when they tie; it is commutative, associative and residuated.
+    """
+    ip = chain_inv(3)
+    value = [-1, 0, 1]
+    table = np.array([
+        [value.index(x if abs(x) > abs(y) else y if abs(y) > abs(x) else min(x, y)) for y in value]
+        for x in value
+    ])
+    return ip, ip.poset.elements[1], table
+
+
+class TestBatchedLeafCheck:
+    # verdicts of the reference on every naive table, by carrier and mode
+    NAIVE_VERDICTS = {
+        ("chain4", True): {"negation-mismatch": 4, "residual-missing": 4089, "structure": 2, "verification": 1},
+        ("chain4", False): {"residual-missing": 4089, "structure": 6, "verification": 1},
+        ("square", True): {"residual-missing": 4095, "structure": 1},
+        ("square", False): {"residual-missing": 4095, "structure": 1},
+    }
+
+    @staticmethod
+    def agreed_verdicts(ip, unit, tables, require_negation):
+        """The reference's verdicts, once they are checked equal to the batched ones, in order."""
+        verdicts = _leaf_check(ip, unit, require_negation)
+        expected = [leaf_reference(ip, unit, table, require_negation) for table in tables]
+        assert verdicts(tables) == expected
+        assert [leaf for table in tables for leaf in verdicts(table[None])] == expected
+        return [leaf if isinstance(leaf, str) else "structure" for leaf in expected]
+
+    @pytest.mark.parametrize("require_negation", [True, False])
+    @pytest.mark.parametrize("name", ["chain4", "square"])
+    def test_every_naive_table(self, name, require_negation):
+        ip = chain_inv(4) if name == "chain4" else cube_boolean(2)
+        top, tables = naive_tables(ip)
+        found = self.agreed_verdicts(ip, top, tables, require_negation)
+        assert dict(sorted(Counter(found).items())) == self.NAIVE_VERDICTS[name, require_negation]
+
+    @pytest.mark.parametrize(
+        "make", [lambda: chain_involuted(5), kleene_six_involuted, n5_involuted], ids=["chain5", "kleene6", "n5"]
+    )
+    def test_left_projection(self, make):
+        # x . y = x: every residual exists (j -> k = k), but commutativity and the unit law fail
+        ip = make()
+        n = len(ip.poset)
+        table = np.repeat(np.arange(n)[:, None], n, axis=1)
+        top = ip.poset.bounds()[1]
+        arrow = _residuals(ip.poset.leq_matrix, table)
+        assert (arrow >= 0).all()
+        failed = [c.name for c in verify_residuated(ResiduatedStructure(ip.poset, top, table, arrow)).failed()]
+        assert failed == ["commutativity", "unit-law"]
+        for require_negation in (True, False):
+            assert self.agreed_verdicts(ip, top, table[None], require_negation) == ["verification"]
+
+    def test_unit_not_greatest(self):
+        ip, unit, table = sugihara3()
+        s = ResiduatedStructure(ip.poset, unit, table, _residuals(ip.poset.leq_matrix, table))
+        assert [c.name for c in verify_residuated(s).failed()] == ["unit-greatest"]
+        for require_negation in (True, False):
+            assert self.agreed_verdicts(ip, unit, table[None], require_negation) == ["verification"]
+
+
 class TestDeterminism:
     def test_repeated_runs_identical(self):
         a = find_residuations(chain_inv(4))
@@ -221,6 +323,29 @@ SEARCH_TREES = [
      (0, False, {"nodes": 99, "prunes": {"associativity": 14, "monotonicity": 41}})),
     ("chain8-limit3", lambda: chain_inv(8), True, 3,
      (3, True, {"nodes": 37, "prunes": {"associativity": 5, "monotonicity": 1}})),
+    # the leaves are checked in batches: a search stops at its limit-th
+    # structure, truncated even when it is the last one, and leaves that
+    # fail interleave with the structures up to that point
+    ("chain8-limit1", lambda: chain_inv(8), True, 1, (1, True, {"nodes": 28, "prunes": {}})),
+    ("chain8-limit30", lambda: chain_inv(8), True, 30,
+     (30, True, {"nodes": 731, "prunes": {"associativity": 225, "monotonicity": 304}})),
+    ("chain8-limit31", lambda: chain_inv(8), True, 31,
+     (31, True, {"nodes": 756, "prunes": {"associativity": 227, "monotonicity": 321}})),
+    ("chain8-limit32", lambda: chain_inv(8), True, 32,
+     (31, False, {"nodes": 756, "prunes": {"associativity": 227, "monotonicity": 321}})),
+    ("kleene6-any-negation-limit1", kleene_six_involuted, False, 1, (1, True, {"nodes": 15, "prunes": {}})),
+    ("kleene6-any-negation-limit18", kleene_six_involuted, False, 18,
+     (18, True, {"nodes": 595, "prunes": {
+         "associativity": 89, "monotonicity": 258, "residual-missing": 60}})),
+    ("kleene6-any-negation-limit19", kleene_six_involuted, False, 19,
+     (19, True, {"nodes": 612, "prunes": {
+         "associativity": 89, "monotonicity": 269, "residual-missing": 62}})),
+    ("kleene6-any-negation-limit20", kleene_six_involuted, False, 20,
+     (19, False, {"nodes": 612, "prunes": {
+         "associativity": 89, "monotonicity": 269, "residual-missing": 62}})),
+    # no free cell: the one leaf is the root, and the search ends with it
+    ("one-point-limit1", lambda: chain_inv(1), True, 1, (1, False, {"nodes": 0, "prunes": {}})),
+    ("chain2-limit1", lambda: chain_inv(2), True, 1, (1, True, {"nodes": 1, "prunes": {}})),
     ("chain10", lambda: chain_inv(10), True, ALL,
      (161, False, {"nodes": 9184, "prunes": {"associativity": 2889, "monotonicity": 4575}})),
     ("chain11", lambda: chain_inv(11), True, ALL,
