@@ -63,14 +63,15 @@ def _expect(doc, key, kind):
     return value
 
 
-def _string(x, path):
+def _string(x, *segments):
+    """x, once it is a string; the pointer to it is built from its segments only to raise."""
     if not isinstance(x, str):
-        raise SchemaViolation("labels must be strings", path)
+        raise SchemaViolation("labels must be strings", _pointer(*segments))
     return x
 
 
-def _check_label(x, path):
-    _string(x, path)
+def _check_label(x, *segments):
+    _string(x, *segments)
     if x.startswith("#") and not _GENERATED.fullmatch(x):
         raise ReservedLabel(
             f"label {x!r}: the '#' prefix is reserved for generated chain elements"
@@ -87,13 +88,13 @@ def parse_structure(doc) -> Bundle:
         raise SchemaViolation(f"unknown field {unknown[0]!r}", _pointer(unknown[0]))
 
     elements = _expect(doc, "elements", list)
-    elements = [_check_label(x, f"/elements/{i}") for i, x in enumerate(elements)]
+    elements = [_check_label(x, "elements", i) for i, x in enumerate(elements)]
     covers = _expect(doc, "covers", list)
     pairs = []
     for i, pair in enumerate(covers):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaViolation("covers entries must be 2-arrays", f"/covers/{i}")
-        pairs.append((_string(pair[0], f"/covers/{i}/0"), _string(pair[1], f"/covers/{i}/1")))
+        pairs.append((_string(pair[0], "covers", i, 0), _string(pair[1], "covers", i, 1)))
     poset = poset_from_relation(elements, pairs)
 
     ip = None
@@ -102,7 +103,7 @@ def parse_structure(doc) -> Bundle:
         for x, y in mapping.items():
             if x not in poset:
                 raise SchemaViolation(f"involution key {x!r} is not an element", "/involution")
-            _string(y, _pointer("involution", x))
+            _string(y, "involution", x)
         ip = involuted(poset, mapping)
 
     structure = None

@@ -7,7 +7,11 @@ the axioms:
 
   integrality:   x . y must be a common lower bound of x and y
                  (the unit is the greatest element)
-  monotonicity:  a <= b implies a . c <= b . c
+  monotonicity:  a <= b implies a . c <= b . c; when the element order
+                 is a linear extension, each node compares its new cell
+                 (i, j) only with a . j for a < i and i . b for b < j,
+                 which decides it as the whole box of comparable
+                 assigned cells would; otherwise it scans that box
   negation-zero: when the derived negation must equal the involution,
                  x . y = 0 exactly when x <= y'
   associativity: (a . b) . c = a . (b . c) on every triple whose four
@@ -160,7 +164,7 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     at_most = [[rows[w][v] for w in range(n)] + [True] for v in range(n)]
     at_least = [rows[v] + [True] for v in range(n)]
 
-    def monotone_ok(i, j, v):
+    def monotone_box(i, j, v):
         # an assigned (a, b) with a <= i, b <= j needs a . b <= v, and with
         # i <= a, j <= b needs v <= a . b; t is symmetric, so these also
         # cover (b, a)
@@ -177,6 +181,33 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
                 if not high[row[b]]:
                     return False
         return True
+
+    def monotone_cross(i, j, v):
+        # The box check's verdict from the cells just below (i, j), valid
+        # when the element order is a linear extension: a < b in the order
+        # gives index a < index b.  Cells are assigned in row-major order,
+        # i <= j, so then:
+        # - every (a, b) != (i, j) with a <= i, b <= j is assigned: a < i
+        #   gives min(a, b) < i, and a = i gives b < j;
+        # - no (a, b) != (i, j) with i <= a, j <= b is, but on the unit row:
+        #   min(a, b) >= i, equal only at a = i, b > j.  There t[a][b] is a
+        #   or b, above i or j and so above v (integrality).
+        # The assigned cells form a monotone partial table, since every
+        # ancestor passed, so a < i gives a . b <= a . j, both assigned.  The
+        # box check thus fails exactly when a . j <= v fails for an a < i or
+        # i . b <= v fails for a b < j.
+        low, row_i = at_most[v], t[i]
+        for a in below[i]:
+            if not low[t[a][j]]:
+                return False
+        for b in below[j]:
+            if not low[row_i[b]]:
+                return False
+        return True
+
+    # strict down-sets; the choice is a property of the input, made once
+    below = [[a for a in down[x] if a != x] for x in range(n)]
+    monotone_ok = monotone_cross if all(a < x for x in range(n) for a in below[x]) else monotone_box
 
     def assoc_ok(pos, v):
         # (a . b) . c = a . (b . c) on the complete triples that look up the

@@ -401,6 +401,8 @@ class TestCli:
                 },
                 "/odot/a/a",
             ),
+            ({"elements": ["a", "b"], "covers": [["a", "b"], ["a", ["b"]]]}, "/covers/1/1"),
+            ({"elements": ["a", ["b"]], "covers": []}, "/elements/1"),
         ],
     )
     def test_unhashable_label_is_schema_error(self, tmp_path, capsys, doc, pointer):

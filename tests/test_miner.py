@@ -39,6 +39,16 @@ def chain_inv(n):
     return involuted(p, {els[i]: els[n - 1 - i] for i in range(n)})
 
 
+def reversed_order(ip):
+    """The same involuted poset with its elements listed in reverse.
+
+    On a carrier with a comparable pair the element order is then not a
+    linear extension, and the miner checks monotonicity on whole boxes.
+    """
+    p = ip.poset
+    return involuted(poset_from_covers(reversed(p.elements), p.covers()), ip.involution.mapping)
+
+
 class TestPentagonImpossibility:
     def test_no_residuation_on_n5(self):
         outcome = find_residuations(n5_involuted())
@@ -195,9 +205,11 @@ def bounded_pairs_and_extensions(max_size):
 
 
 class TestRescanOracle:
-    def test_same_search_as_the_full_rescan(self):
+    @staticmethod
+    def searches_agreeing(carriers):
+        """The number of searches on the carriers, once each is checked equal to the full rescan's."""
         searches = 0
-        for ip in bounded_pairs_and_extensions(5):
+        for ip in carriers:
             for require_negation in (True, False) if len(ip.poset) <= 6 else (True,):
                 for limit in (1, 10**6):
                     fast = find_residuations(ip, require_negation=require_negation, limit=limit)
@@ -206,7 +218,15 @@ class TestRescanOracle:
                     assert fast.stats.as_dict() == slow.stats.as_dict()
                     assert (fast.satisfiable, fast.truncated) == (slow.satisfiable, slow.truncated)
                     searches += 1
-        assert searches == 220
+        return searches
+
+    def test_same_search_as_the_full_rescan(self):
+        assert self.searches_agreeing(bounded_pairs_and_extensions(5)) == 220
+
+    def test_same_search_on_reversed_orders(self):
+        # past one point every carrier has 0 < 1, so the reversed element
+        # order is not a linear extension and the miner checks whole boxes
+        assert self.searches_agreeing(map(reversed_order, bounded_pairs_and_extensions(4))) == 94
 
 
 def naive_tables(ip):
@@ -350,6 +370,15 @@ SEARCH_TREES = [
      (161, False, {"nodes": 9184, "prunes": {"associativity": 2889, "monotonicity": 4575}})),
     ("chain11", lambda: chain_inv(11), True, ALL,
      (329, False, {"nodes": 26532, "prunes": {"associativity": 9374, "monotonicity": 12821}})),
+    # element orders that are not linear extensions: the miner checks whole
+    # boxes there, and the order changes the search's size
+    ("kleene6-reversed", lambda: reversed_order(kleene_six_involuted()), True, ALL,
+     (4, False, {"nodes": 96, "prunes": {"associativity": 9, "monotonicity": 12}})),
+    ("kleene6-reversed-any-negation", lambda: reversed_order(kleene_six_involuted()), False, ALL,
+     (19, False, {"nodes": 1242, "prunes": {
+         "associativity": 113, "monotonicity": 316, "residual-missing": 62}})),
+    ("chain8-reversed", lambda: reversed_order(chain_inv(8)), True, ALL,
+     (31, False, {"nodes": 3588, "prunes": {"associativity": 781, "monotonicity": 1052}})),
 ]
 
 
