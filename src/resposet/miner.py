@@ -22,15 +22,17 @@ the axioms:
 
 A complete table is a leaf.  Leaves never steer the search: they wait on
 a stack that is checked a slab (SLAB_CELLS cells of n^3 cubes) at a
-time, by one vectorised pass per stack.  Every leaf still gets its
-arrow from the residuals, all five axioms of verify_residuated and,
-when required, the negation check.  The stack is also checked as soon
-as it holds as many tables as results are still wanted, so the search
-stops at the leaf of its limit-th result.
+time, by one vectorised pass per stack.  Every leaf gets its arrow,
+and with it adjointness, from the down-set test of _residuals, then the
+other four axioms of verify_residuated and, when required, the negation
+check.  The stack is also checked as soon as it holds as many tables as
+results are still wanted, so the search stops at the leaf of its
+limit-th result.
 
 A naive oracle (no pruning beyond commutativity and the forced unit
 row) is provided for small carriers to certify the pruned search.  It
-checks its tables with the same stacked check, a slab at a time.
+checks its tables with the same stacked check, a slab at a time, and
+counts each table it rejects under its prune rule.
 """
 
 from dataclasses import dataclass, field
@@ -40,14 +42,15 @@ import numpy as np
 
 from .errors import CarrierTooLarge, LimitZero, Unbounded
 from .involution import InvolutedPoset
-from .residuation import SLAB_CELLS, ResiduatedStructure, _stack_check
+from .residuation import SLAB_CELLS, ResiduatedStructure, _residuals
 
 # The most carrier elements the miner searches.  Its set-up holds up to
 # n^3 candidates in per-cell lists: about 3.2 MB at 100 elements, gigabytes
 # at the 1000 a construction may build.  Its leaves are checked in stacks
 # whose n^3 cubes never exceed one SLAB_CELLS slab (one table at 100
 # elements, 606 at 12).  By tracemalloc, a search on the 100-chain peaks at
-# about 6.6 MB and the full enumeration of the 12-chain at about 5.8 MB.
+# about 6.6 MB (the tests hold it under 7 MB) and the full enumeration of
+# the 12-chain at about 5.8 MB.
 MAX_CARRIER = 100
 # The most carrier elements the naive oracle searches: it tries all
 # n^(n(n-1)/2) tables, 4,096 at 4 elements and 9,765,625 at 5.
@@ -71,23 +74,44 @@ def _leaf_check(ip: InvolutedPoset, unit, require_negation):
 
     verdicts gives, in stack order, each table's structure or the prune
     rule that rejects it.  The rules, in the order they are tried:
-    residual-missing, no arrow is adjoint to the table; verification, an
-    axiom of verify_residuated fails; negation-mismatch, with
-    require_negation, x -> 0 is not the involution.
+    residual-missing, some {a : a . j <= k} is no element's down-set, so
+    no arrow is adjoint to the table; verification, unit-greatest,
+    commutativity, the unit law or associativity fails; negation-mismatch,
+    with require_negation, x -> 0 is not the involution.  The arrows come
+    from _residuals' down-set test, a <= j -> k iff a . j <= k, which is
+    adjointness itself.  Once the table is commutative, x . (y . z) is
+    (y . z) . x, so one cube of (x . y) . z against its own transpose
+    decides associativity.
     """
     p = ip.poset
-    check = _stack_check(p, unit)
+    leq = p.leq_matrix
+    n = len(p)
+    u = p.index(unit)
+    unit_greatest = bool(leq[:, u].all())
+    identity = np.arange(n)
+    small = np.min_scalar_type(n - 1)
     bottom = p.index(p.bounds()[0]) if require_negation else None
     image = np.array(ip.involution.image)
 
     def verdicts(tables):
-        arrows, rules = check(tables)
-        if require_negation:
-            mismatch = (arrows[:, :, bottom] != image).any(axis=1).tolist()
-            rules = [rule or ("negation-mismatch" if bad else None) for rule, bad in zip(rules, mismatch)]
+        t = len(tables)
+        arrows = _residuals(leq, tables)
+        ok = unit_greatest & (tables == tables.transpose(0, 2, 1)).all(axis=(1, 2))  # commutativity
+        ok &= (tables[:, u] == identity).all(axis=1)  # unit law
+        # [i, x, y, z]: (x . y) . z, table i's row x . y gathered for each
+        # (x, y) from the rows of all t tables, in the smallest index dtype;
+        # freed before the structures copy their tables
+        left = tables.astype(small).reshape(t * n, n)[tables + (n * np.arange(t))[:, None, None]]
+        ok &= (left == left.transpose(0, 3, 1, 2)).all(axis=(1, 2, 3))  # vs (y . z) . x
+        del left
+        missing = (arrows < 0).any(axis=(1, 2))
+        mismatch = (arrows[:, :, bottom] != image).any(axis=1) if require_negation else np.zeros(t, bool)
         return [
-            rule or ResiduatedStructure(p, unit, table.copy(), arrow.copy())
-            for rule, table, arrow in zip(rules, tables, arrows)
+            "residual-missing" if lost
+            else "verification" if not sound
+            else "negation-mismatch" if wrong
+            else ResiduatedStructure(p, unit, table.copy(), arrow.copy())
+            for lost, sound, wrong, table, arrow in zip(missing, ok, mismatch, tables, arrows)
         ]
 
     return verdicts
@@ -326,6 +350,7 @@ def find_residuations_naive(ip: InvolutedPoset, require_negation=True, limit=10*
         for index, s in enumerate(verdicts(tables), start):
             stats.nodes = index + 1
             if isinstance(s, str):
+                stats.prune(s)
                 continue
             results.append(s)
             if len(results) >= limit:

@@ -8,9 +8,9 @@ x-slabs of SLAB_CELLS cells.  Up to one slab (about 100 elements) both
 associativity and adjointness are cubes.  Past one slab, adjointness is
 the Galois test on covers, O(n |covers| + n^2), with the cube kept to
 find the first witness of a failure, and associativity builds half its
-cube once commutativity holds.  The miner's complete tables go through
-_stack_check instead: the same five axioms on a stack of tables at once,
-one slab at most, with a verdict per table and no witnesses.
+cube once commutativity holds.  _residuals derives the arrow of a table
+by the down-set test, which is adjointness itself; the miner's leaves
+take both from it.
 """
 
 import itertools
@@ -259,49 +259,6 @@ def _residuals(leq: np.ndarray, odot: np.ndarray) -> np.ndarray:
     size = leq.sum(axis=0, dtype=np.min_scalar_type(len(leq)))  # [g]: |down-set of g|
     g = (member * size.reshape(-1, *(1,) * odot.ndim)).argmax(axis=0)  # non-members score 0
     return np.where((leq[:, g] == member).all(axis=0), g, -1)
-
-
-def _stack_check(p: Poset, unit):
-    """check(tables): the verdicts of a [t, n, n] stack of . tables on p, t n^3 <= SLAB_CELLS.
-
-    check returns (arrows, rules).  arrows is the stack of arrows by
-    _residuals.  rules[i] is None when table i with arrows[i] passes the
-    five checks of verify_residuated; "residual-missing" when some
-    {a : a . j <= k} is no element's down-set, so that no arrow is adjoint
-    to the table; "verification" when an axiom fails.  Verdicts only:
-    verify_residuated gives the witnesses.  Once the table is commutative,
-    x . (y . z) is (y . z) . x, so one cube of (x . y) . z compared with
-    its own transpose decides associativity.  The constants of p and the
-    unit are computed once, by this call.
-    """
-    leq = p.leq_matrix
-    n = len(p)
-    u = p.index(unit)
-    unit_greatest = bool(leq[:, u].all())
-    identity = np.arange(n)
-    small = np.min_scalar_type(n - 1)
-
-    def check(tables):
-        t = len(tables)
-        arrows = _residuals(leq, tables)
-        ok = (tables == tables.transpose(0, 2, 1)).all(axis=(1, 2))  # commutativity
-        ok &= (tables[:, u] == identity).all(axis=1)  # unit law
-        # adjointness: [i, x, y, z] x . y <= z  vs  [i, y, z, x] x <= y -> z
-        ok &= (leq[tables] == leq.T[arrows].transpose(0, 3, 1, 2)).all(axis=(1, 2, 3))
-        # [i, x, y, z]: (x . y) . z, table i's row x . y gathered for each
-        # (x, y) from the rows of all t tables, in the smallest index dtype;
-        # made after the adjointness cubes, so it never shares memory with them
-        rows = tables + (n * np.arange(t))[:, None, None]
-        left = tables.astype(small).reshape(t * n, n)[rows]
-        ok &= (left == left.transpose(0, 3, 1, 2)).all(axis=(1, 2, 3))  # vs (y . z) . x
-        missing = (arrows < 0).any(axis=(1, 2))
-        rules = [
-            "residual-missing" if lost else None if good else "verification"
-            for lost, good in zip(missing.tolist(), (ok & unit_greatest).tolist())
-        ]
-        return arrows, rules
-
-    return check
 
 
 def residual_of(p: Poset, odot: np.ndarray, b, c):

@@ -30,7 +30,7 @@ from resposet.fixtures import (
 )
 from resposet.miner import MAX_CARRIER, MinerOutcome, MinerStats, _free_cells, _leaf_check
 from resposet.order import poset_from_covers, poset_from_relation
-from resposet.residuation import ResiduatedStructure, _negation, _residuals
+from resposet.residuation import SLAB_CELLS, ResiduatedStructure, _negation, _residuals
 
 
 def chain_inv(n):
@@ -285,6 +285,16 @@ class TestBatchedLeafCheck:
         found = self.agreed_verdicts(ip, top, tables, require_negation)
         assert dict(sorted(Counter(found).items())) == self.NAIVE_VERDICTS[name, require_negation]
 
+    @pytest.mark.parametrize("require_negation", [True, False])
+    @pytest.mark.parametrize("name", ["chain4", "square"])
+    def test_naive_oracle_counts_its_prunes(self, name, require_negation):
+        # every naive table is a node, and each one rejected counts under its rule
+        ip = chain_inv(4) if name == "chain4" else cube_boolean(2)
+        prunes = dict(self.NAIVE_VERDICTS[name, require_negation])
+        del prunes["structure"]
+        stats = find_residuations_naive(ip, require_negation=require_negation).stats
+        assert stats.as_dict() == {"nodes": 4096, "prunes": prunes}
+
     @pytest.mark.parametrize(
         "make", [lambda: chain_involuted(5), kleene_six_involuted, n5_involuted], ids=["chain5", "kleene6", "n5"]
     )
@@ -441,6 +451,20 @@ class TestDeepSearch:
         assert outcome.truncated
         assert verify_residuated(outcome.structures[0]).overall
 
+    def test_carrier_cap_chain_first_structure(self):
+        # the largest leaf stack the miner builds: one table of 10^6 cube
+        # cells, just under one slab
+        assert MAX_CARRIER**3 <= SLAB_CELLS < 2 * MAX_CARRIER**3
+        tracemalloc.start()
+        try:
+            outcome = find_residuations(chain_inv(MAX_CARRIER), limit=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(outcome.structures), outcome.truncated) == (1, True)
+        assert verify_residuated(outcome.structures[0]).overall
+        assert peak < 7_000_000  # the MAX_CARRIER comment gives about 6.6 MB
+
     def test_cli_mines_fifty_chain(self, tmp_path, capsys):
         path = tmp_path / "c50.json"
         assert main(["extend", "cor1", "--n", "50", "--format", "json", "-o", str(path)]) == 0
@@ -495,8 +519,9 @@ class TestLimitsAndErrors:
         with pytest.raises(Unbounded):
             find_residuations(ip)
 
-    def test_missing_bottom_with_negation(self):
-        # a "V" shape: top exists, no bottom
+    def test_top_without_bottom_has_no_involution(self):
+        # an antitone involution maps a top to a bottom, so a carrier the
+        # miner accepts has one, and require_negation can always index it;
+        # here a "V": t above x and y, no bottom
         p = poset_from_covers(["x", "y", "t"], [("x", "t"), ("y", "t")])
-        found = __import__("resposet").enumerate_antitone_involutions(p)
-        assert found == []  # no antitone involution exists anyway
+        assert enumerate_antitone_involutions(p) == []
