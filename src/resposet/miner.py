@@ -19,6 +19,13 @@ the axioms:
                  triples that look up its new cell, which is exact
                  because the parent passed and the unit row alone is
                  associative
+  joins:         y -> x . y is residuated, so it preserves every join
+                 that exists in P (Blyth & Janowitz 1972):
+                 x . (y v z) = (x . y) v (x . z), the right-hand join
+                 existing, for incomparable y, z whose three cells are
+                 assigned; each node checks only the triples that look
+                 up its new cell.  On a lattice this with x . 0 = 0 is
+                 residuation, so no lattice leaf lacks a residual
 
 A complete table is a leaf.  Leaves never steer the search: they wait on
 a stack that is checked a slab (SLAB_CELLS cells of n^3 cubes) at a
@@ -128,20 +135,19 @@ class MinerOutcome:
 def _free_cells(ip: InvolutedPoset, limit):
     """Check the search arguments; return the top and the (i, j), i <= j, cells off the unit row.
 
-    The cells come as a (k, 2) index array in row-major order.
+    The cells come as a list of pairs in row-major order.
     """
     if limit < 1:
         raise LimitZero("result limit must be positive")
     p = ip.poset
-    if len(p) > MAX_CARRIER:
-        raise CarrierTooLarge(f"miner: {len(p)} carrier elements exceed the limit {MAX_CARRIER}")
+    n = len(p)
+    if n > MAX_CARRIER:
+        raise CarrierTooLarge(f"miner: {n} carrier elements exceed the limit {MAX_CARRIER}")
     top = p.bounds()[1]
     if top is None:
         raise Unbounded("the miner needs a greatest element to serve as unit")
     u = p.index(top)
-    free = np.triu(np.ones((len(p), len(p)), dtype=bool))
-    free[u, :] = free[:, u] = False
-    return top, np.argwhere(free)
+    return top, [(i, j) for i in range(n) if i != u for j in range(i, n) if j != u]
 
 
 def _orientations(i, j):
@@ -165,24 +171,49 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     rows = p.leq_matrix.tolist()
     down = [[a for a in range(n) if rows[a][x]] for x in range(n)]
     up = [[a for a in range(n) if rows[x][a]] for x in range(n)]
+    # strict down-sets; whether the element order is a linear extension
+    # is a property of the input, decided once
+    below = [[a for a in down[x] if a != x] for x in range(n)]
+    cross = all(a < x for x in range(n) for a in below[x])
     inv = ip.involution.image
     zero = p.index(p.bounds()[0]) if require_negation else -1
-    cells = cells.tolist()
     # x . y is a common lower bound of x and y (integrality) and, when the
     # negation must match, 0 exactly when x <= y' (negation-zero)
     candidates = [
-        [v for v in down[i] if rows[v][j] and not (require_negation and (v == zero) != rows[i][inv[j]])]
+        [zero] if require_negation and rows[i][inv[j]] else [v for v in down[i] if rows[v][j] and v != zero]
         for i, j in cells
     ]
     sides = [_orientations(i, j) for i, j in cells]
 
+    # w = a v b exactly when the up-sets, as int masks, meet in w's.
+    # partners[y] lists (z, y v z) for each z incomparable to y whose join
+    # with y exists; splits[w] lists the incomparable pairs (a, b) with
+    # a v b = w.  With a linear extension y v z, above y, has the larger
+    # index, so when x . y is the new cell (i, j) or its mirror, the cell
+    # of x . (y v z) comes later in row-major order and is unassigned,
+    # unless y v z is the unit; partners then keeps only the unit's
+    ups = [sum(1 << a for a in up[x]) for x in range(n)]
+    join_of = {mask: x for x, mask in enumerate(ups)}
+    partners = [[] for _ in range(n)]
+    splits = [[] for _ in range(n)]
+    for b in range(n):
+        for a in range(b):
+            if not (rows[a][b] or rows[b][a]) and (w := join_of.get(ups[a] & ups[b])) is not None:
+                splits[w].append((a, b))
+                if not cross or w == u:
+                    partners[a].append((b, w))
+                    partners[b].append((a, w))
+    touched = [bool(partners[y] or splits[y]) for y in range(n)]
+    joined = [touched[i] or touched[j] for i, j in cells]
+
     # the table as int rows, -1 where unassigned; preimage[x] lists the
-    # assigned cells (a, b), both orientations, with a . b = x
+    # assigned cells (a, b) off the unit row, both orientations, with
+    # a . b = x: where a or b is the unit, (a . b) . y = a . (b . y) holds
+    # whatever the table
     t = [[-1] * n for _ in range(n)]
     preimage = [[] for _ in range(n)]
     for x in range(n):
         t[u][x] = t[x][u] = x
-        preimage[x] += _orientations(u, x)
     # at_most[v][w]: w <= v, at_least[v][w]: v <= w; the last entry, which
     # an unassigned cell's -1 looks up, is True
     at_most = [[rows[w][v] for w in range(n)] + [True] for v in range(n)]
@@ -229,9 +260,7 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
                 return False
         return True
 
-    # strict down-sets; the choice is a property of the input, made once
-    below = [[a for a in down[x] if a != x] for x in range(n)]
-    monotone_ok = monotone_cross if all(a < x for x in range(n) for a in below[x]) else monotone_box
+    monotone_ok = monotone_cross if cross else monotone_box
 
     def assoc_ok(pos, v):
         # (a . b) . c = a . (b . c) on the complete triples that look up the
@@ -243,7 +272,10 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
         row_v = t[v]
         for x, y in sides[pos]:
             row_x, row_y = t[x], t[y]
-            for c in range(n):  # (x . y) . c = x . (y . c)
+            # (x . y) . c = x . (y . c); in row-major order the assigned
+            # cells of row y are those with c <= x and the unit's, where
+            # both sides are x . y
+            for c in range(x + 1):
                 w, left = row_y[c], row_v[c]
                 if w >= 0 and left >= 0 and 0 <= row_x[w] != left:
                     return False
@@ -253,34 +285,48 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
                     return False
         return True
 
-    tried = [0] * (len(cells) + 1)  # candidates of each cell tried so far
+    def joins_ok(pos, v):
+        # for each orientation (x, y) of the new cell: as x . y, next to an
+        # assigned x . z with x . (y v z) assigned; as x . (a v b), with
+        # x . a and x . b assigned.  Comparable pairs are monotonicity's
+        up_v = ups[v]
+        for x, y in sides[pos]:
+            row_x = t[x]
+            for z, w in partners[y]:
+                c, d = row_x[z], row_x[w]
+                if c >= 0 and d >= 0 and up_v & ups[c] != ups[d]:
+                    return False
+            for a, b in splits[y]:
+                c, d = row_x[a], row_x[b]
+                if c >= 0 and d >= 0 and ups[c] & ups[d] != up_v:
+                    return False
+        return True
 
-    def assign(pos, v):
-        i, j = cells[pos]
-        t[i][j] = t[j][i] = v
-        preimage[v] += sides[pos]
-
-    def unassign(pos):
-        i, j = cells[pos]
-        v = t[i][j]
-        t[i][j] = t[j][i] = -1
-        del preimage[v][-len(sides[pos]):]
+    nodes = 0
+    pruned = {"monotonicity": 0, "associativity": 0, "joins": 0}
+    # each cell's untried candidates, renewed when the search enters it
+    pending = [iter(c) for c in candidates]
 
     def advance(pos):
-        """Assign cell pos its next candidate that passes both checks; False when none is left."""
+        """Assign cell pos its next candidate that passes every check; False when none is left."""
+        nonlocal nodes
         i, j = cells[pos]
-        while tried[pos] < len(candidates[pos]):
-            v = candidates[pos][tried[pos]]
-            tried[pos] += 1
-            stats.nodes += 1
-            assign(pos, v)
+        row_i, row_j, side = t[i], t[j], sides[pos]
+        for v in pending[pos]:
+            nodes += 1
+            row_i[j] = row_j[i] = v
             if not monotone_ok(i, j, v):
-                stats.prune("monotonicity")
-            elif not assoc_ok(pos, v):
-                stats.prune("associativity")
+                pruned["monotonicity"] += 1
+                continue
+            preimage[v] += side
+            if not assoc_ok(pos, v):
+                pruned["associativity"] += 1
+            elif joined[pos] and not joins_ok(pos, v):
+                pruned["joins"] += 1
             else:
                 return True
-            unassign(pos)
+            del preimage[v][-len(side):]
+        row_i[j] = row_j[i] = -1
         return False
 
     # leaves wait on a stack, checked when it fills a slab, when it holds as
@@ -314,18 +360,24 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
             stats.prune("empty-cell")
         elif advance(pos):
             pos += 1
-            tried[pos] = 0
+            if pos < len(cells):
+                pending[pos] = iter(candidates[pos])
             continue
         # back to the parent's cell, which tries its next candidate
         pos -= 1
         if pos < 0:
             break
-        unassign(pos)
+        i, j = cells[pos]
+        v = t[i][j]
+        t[i][j] = t[j][i] = -1
+        del preimage[v][-len(sides[pos]):]
         if len(results) >= limit:
             truncated = True
             break
     if leaves:
         check_leaves()
+    stats.nodes = nodes
+    stats.prunes.update((rule, count) for rule, count in pruned.items() if count)
     return MinerOutcome(bool(results), results, stats, truncated)
 
 
@@ -336,7 +388,7 @@ def find_residuations_naive(ip: InvolutedPoset, require_negation=True, limit=10*
     top, cells = _free_cells(ip, limit)
     n = len(ip.poset)
     u = ip.poset.index(top)
-    rows, cols = cells.T
+    rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
     verdicts = _leaf_check(ip, top, require_negation)
     values = np.array(list(product(range(n), repeat=len(cells))), dtype=np.int64)
     batch = max(1, SLAB_CELLS // n**3)

@@ -258,6 +258,15 @@ class TestCli:
         assert code == 1
         assert "unsatisfiable" in captured.out
 
+    def test_mine_cube16_any_negation(self, capsys):
+        # without the join rule this search ran for minutes
+        code = main(["mine", "-i", "builtin:cube16", "--no-require-negation", "--limit", "3", "--stats-json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("satisfiable: 1 structure(s) found")
+        stats = json.loads(out[out.index('{\n  "nodes"'):])
+        assert stats["prunes"]["joins"] > 0
+
     def test_mine_naive_guard(self, capsys):
         code = main(["mine", "-i", "builtin:n5", "--naive"])
         assert code == 2

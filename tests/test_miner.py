@@ -20,6 +20,7 @@ from resposet.cli import main
 from resposet.constructions import ExtensionMode
 from resposet.errors import CarrierTooLarge, LimitZero, Unbounded
 from resposet.fixtures import (
+    BUILTINS,
     antichain,
     chain,
     chain_involuted,
@@ -125,15 +126,18 @@ def leaf_reference(ip, unit, table, require_negation):
     return s
 
 
-def find_residuations_rescan(ip, require_negation=True, limit=16):
+def find_residuations_rescan(ip, require_negation=True, limit=16, joins=True):
     """Reference oracle: the pruned search with a full numpy rescan at every node.
 
     The same cells, candidates and prune rules as find_residuations, with
     each leaf checked on its own by leaf_reference; but monotonicity
-    compares the new cell with every assigned cell and associativity
-    rebuilds the whole n^3 cube of (a . b) . c and a . (b . c).
+    compares the new cell with every assigned cell, associativity
+    rebuilds the whole n^3 cube of (a . b) . c and a . (b . c), and the
+    join rule, unless joins is off, compares x . (y v z) with
+    (x . y) v (x . z) for every x and every existing y v z.
     """
     top, cells = _free_cells(ip, limit)
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 2)
     p = ip.poset
     n = len(p)
     leq = p.leq_matrix
@@ -149,6 +153,9 @@ def find_residuations_rescan(ip, require_negation=True, limit=16):
     table = np.full((n + 1, n + 1), -1, dtype=np.int64)
     table[u, :n] = table[:n, u] = np.arange(n)
     t = table[:n, :n]
+    # joins padded the same way: -1 where a join is missing or looked up by -1
+    join = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    join[:n, :n] = p._join_table
 
     def monotone_ok(i, j, v):
         below = leq[:, i, None] & leq[None, :, j]
@@ -159,6 +166,12 @@ def find_residuations_rescan(ip, require_negation=True, limit=16):
     def assoc_ok():
         left, right = table[t, :n], table[:n, t]  # [a, b, c]: (a . b) . c, a . (b . c)
         return not ((left != right) & (left >= 0) & (right >= 0)).any()
+
+    def joins_ok():
+        # [x, y, z]: x . y, x . z and x . (y v z); the join of the first two
+        # must be the third wherever all three are assigned
+        x_y, x_z, x_w = t[:, :, None], t[:, None, :], table[:n, join[:n, :n]]
+        return not ((join[x_y, x_z] != x_w) & (x_y >= 0) & (x_z >= 0) & (x_w >= 0)).any()
 
     results = []
     truncated = False
@@ -183,6 +196,8 @@ def find_residuations_rescan(ip, require_negation=True, limit=16):
                 stats.prune("monotonicity")
             elif not assoc_ok():
                 stats.prune("associativity")
+            elif joins and not joins_ok():
+                stats.prune("joins")
             else:
                 search(pos + 1)
             table[i, j] = table[j, i] = -1
@@ -228,13 +243,27 @@ class TestRescanOracle:
         # order is not a linear extension and the miner checks whole boxes
         assert self.searches_agreeing(map(reversed_order, bounded_pairs_and_extensions(4))) == 94
 
+    def test_same_structures_as_the_rescan_without_joins(self):
+        # the join rule is sound: it cuts only tables that no structure
+        # completes.  Without negation the rescan takes about 2 s a search
+        # on the 8 and 9-point extensions, so those run with negation only
+        searches = 0
+        for ip in bounded_pairs_and_extensions(5):
+            for require_negation in (True, False) if len(ip.poset) <= 7 else (True,):
+                fast = find_residuations(ip, require_negation=require_negation, limit=ALL)
+                slow = find_residuations_rescan(ip, require_negation=require_negation, limit=ALL, joins=False)
+                assert fast.structures == slow.structures
+                assert (fast.satisfiable, fast.truncated) == (slow.satisfiable, slow.truncated)
+                searches += 1
+        assert searches == 116
+
 
 def naive_tables(ip):
     """Every commutative table with the top as unit, in the naive oracle's order, as a stack."""
     top, cells = _free_cells(ip, 1)
     n = len(ip.poset)
     u = ip.poset.index(top)
-    rows, cols = cells.T
+    rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
     tables = []
     for values in product(range(n), repeat=len(cells)):
         table = np.zeros((n, n), dtype=np.int64)
@@ -441,6 +470,42 @@ class TestCensus:
                     none += 1
                     lattices_none += lattice
         assert (pairs, none, lattices_none, lattices) == CENSUS[m]
+
+
+def lattice_carriers():
+    """The census carriers 0 < Q < 1 with |Q| <= 5 that are lattices, then the lattice builtins."""
+    for m in range(1, 6):
+        for p in posets_of_size(m):
+            for inv in enumerate_antitone_involutions(p):
+                ip = bounded_sum(p, inv)
+                if ip.poset.is_lattice():
+                    yield ip
+    for make in BUILTINS.values():
+        ip = make()
+        if ip.poset.is_lattice():
+            yield ip
+
+
+class TestJoinPreservation:
+    @pytest.mark.parametrize("require_negation", [True, False])
+    def test_no_lattice_leaf_lacks_a_residual(self, require_negation):
+        # on a finite lattice a monotone x . y that preserves binary joins,
+        # with x . 0 = 0 (integrality), is residuated, so every leaf the
+        # search reaches has its residuals
+        searches = 0
+        for ip in lattice_carriers():
+            stats = find_residuations(ip, require_negation=require_negation, limit=ALL).stats
+            assert "residual-missing" not in stats.prunes
+            searches += 1
+        assert searches == 84
+
+    def test_cube16_any_negation_is_the_meet(self):
+        # on a Boolean algebra with unit top, joins and integrality give
+        # x ^ y = (x ^ y) . (x v x') = ((x ^ y) . x) v ((x ^ y) . x')
+        # = (x ^ y) . x <= y . x, and integrality gives the converse
+        ip = cube_boolean(4)
+        outcome = find_residuations(ip, require_negation=False, limit=ALL)
+        assert [s.odot.tolist() for s in outcome.structures] == [ip.poset._meet_table.tolist()]
 
 
 class TestDeepSearch:
