@@ -376,10 +376,14 @@ SEARCH_TREES = [
     ("kleene6", kleene_six_involuted, True, ALL,
      (4, False, {"nodes": 45, "prunes": {"associativity": 8, "monotonicity": 10}})),
     ("kleene6-any-negation", kleene_six_involuted, False, ALL,
-     (19, False, {"nodes": 612, "prunes": {
-         "associativity": 89, "monotonicity": 269, "residual-missing": 62}})),
+     (19, False, {"nodes": 268, "prunes": {"associativity": 42, "joins": 29, "monotonicity": 92}})),
     ("pk9", pseudo_kleene_nine_involuted, True, ALL,
-     (0, False, {"nodes": 99, "prunes": {"associativity": 14, "monotonicity": 41}})),
+     (0, False, {"nodes": 46, "prunes": {"associativity": 2, "joins": 5, "monotonicity": 8}})),
+    ("pk9-any-negation", pseudo_kleene_nine_involuted, False, ALL,
+     (0, False, {"nodes": 3225, "prunes": {"associativity": 177, "joins": 644, "monotonicity": 1607}})),
+    # without the join rule this search ran for minutes
+    ("cube16-any-negation-limit3", lambda: cube_boolean(4), False, 3,
+     (1, False, {"nodes": 302, "prunes": {"joins": 12, "monotonicity": 148}})),
     ("chain8-limit3", lambda: chain_inv(8), True, 3,
      (3, True, {"nodes": 37, "prunes": {"associativity": 5, "monotonicity": 1}})),
     # the leaves are checked in batches: a search stops at its limit-th
@@ -394,14 +398,11 @@ SEARCH_TREES = [
      (31, False, {"nodes": 756, "prunes": {"associativity": 227, "monotonicity": 321}})),
     ("kleene6-any-negation-limit1", kleene_six_involuted, False, 1, (1, True, {"nodes": 15, "prunes": {}})),
     ("kleene6-any-negation-limit18", kleene_six_involuted, False, 18,
-     (18, True, {"nodes": 595, "prunes": {
-         "associativity": 89, "monotonicity": 258, "residual-missing": 60}})),
+     (18, True, {"nodes": 256, "prunes": {"associativity": 42, "joins": 27, "monotonicity": 85}})),
     ("kleene6-any-negation-limit19", kleene_six_involuted, False, 19,
-     (19, True, {"nodes": 612, "prunes": {
-         "associativity": 89, "monotonicity": 269, "residual-missing": 62}})),
+     (19, True, {"nodes": 268, "prunes": {"associativity": 42, "joins": 29, "monotonicity": 92}})),
     ("kleene6-any-negation-limit20", kleene_six_involuted, False, 20,
-     (19, False, {"nodes": 612, "prunes": {
-         "associativity": 89, "monotonicity": 269, "residual-missing": 62}})),
+     (19, False, {"nodes": 268, "prunes": {"associativity": 42, "joins": 29, "monotonicity": 92}})),
     # no free cell: the one leaf is the root, and the search ends with it
     ("one-point-limit1", lambda: chain_inv(1), True, 1, (1, False, {"nodes": 0, "prunes": {}})),
     ("chain2-limit1", lambda: chain_inv(2), True, 1, (1, True, {"nodes": 1, "prunes": {}})),
@@ -412,10 +413,9 @@ SEARCH_TREES = [
     # element orders that are not linear extensions: the miner checks whole
     # boxes there, and the order changes the search's size
     ("kleene6-reversed", lambda: reversed_order(kleene_six_involuted()), True, ALL,
-     (4, False, {"nodes": 96, "prunes": {"associativity": 9, "monotonicity": 12}})),
+     (4, False, {"nodes": 80, "prunes": {"associativity": 4, "joins": 5, "monotonicity": 9}})),
     ("kleene6-reversed-any-negation", lambda: reversed_order(kleene_six_involuted()), False, ALL,
-     (19, False, {"nodes": 1242, "prunes": {
-         "associativity": 113, "monotonicity": 316, "residual-missing": 62}})),
+     (19, False, {"nodes": 408, "prunes": {"associativity": 40, "joins": 35, "monotonicity": 92}})),
     ("chain8-reversed", lambda: reversed_order(chain_inv(8)), True, ALL,
      (31, False, {"nodes": 3588, "prunes": {"associativity": 781, "monotonicity": 1052}})),
 ]
