@@ -245,8 +245,9 @@ class TestRescanOracle:
 
     def test_same_structures_as_the_rescan_without_joins(self):
         # the join rule is sound: it cuts only tables that no structure
-        # completes.  Without negation the rescan takes about 2 s a search
-        # on the 8 and 9-point extensions, so those run with negation only
+        # completes.  Without negation the rescan visits tens of thousands
+        # of nodes on each 8- and 9-point extension, so those run with
+        # negation only
         searches = 0
         for ip in bounded_pairs_and_extensions(5):
             for require_negation in (True, False) if len(ip.poset) <= 7 else (True,):
