@@ -77,20 +77,14 @@ def _carrier(construction, p: Poset, involution, gaps):
             raise ReservedLabel(f"{construction}: input label {clash!r} is reserved for the chain")
         copies = [(p.elements, p.leq_matrix)]
 
-    def chain(gap):
-        return [f"#c{i}" for i in gap], np.triu(np.ones((len(gap), len(gap)), dtype=bool))
-
-    blocks = [chain(gaps[0])]
-    for copy, gap in zip(copies, gaps[1:]):
-        blocks += [copy, chain(gap)]
-    elements = tuple(x for labels, _ in blocks for x in labels)
-    leq = np.zeros((len(elements), len(elements)), dtype=bool)
-    start = 0
-    for labels, block in blocks:
-        end = start + len(labels)
-        leq[start:end, start:end] = block
-        leq[start:end, end:] = True  # every later block lies above this one
-        start = end
+    # every block lies below each later one and chain blocks are chains, so the
+    # ordinal sum is the upper triangle with p written into its diagonal blocks
+    leq = np.triu(np.ones((size, size), dtype=bool))
+    elements = [f"#c{i}" for i in gaps[0]]
+    for (labels, block), gap in zip(copies, gaps[1:]):
+        start = len(elements)
+        leq[start:start + n, start:start + n] = block
+        elements += [*labels, *(f"#c{i}" for i in gap)]
     image = np.arange(size - 1, -1, -1)
     first = len(gaps[0]) + np.arange(n)  # the indices of the first copy
     if involution is None:
@@ -98,7 +92,7 @@ def _carrier(construction, p: Poset, involution, gaps):
         image[first], image[second] = second, first
     else:
         image[first] = first[list(involution.image)]
-    return Poset(elements, leq), image
+    return Poset(tuple(elements), leq), image
 
 
 def _theorem2_carrier(name, p: Poset, involution, n):

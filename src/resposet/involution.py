@@ -113,9 +113,11 @@ def enumerate_antitone_involutions(p: Poset):
     An antitone involution is a self-inverse order isomorphism from p to
     its dual, so this is order._isomorphisms(leq, leq.T, involutive=True),
     the search that also serves the poset catalog and structural_equal.
+    The search assigns the smallest unassigned index first and tries its
+    images in ascending order, so it yields them lexicographically.
     """
     found = _isomorphisms(p.leq_matrix, p.leq_matrix.T, involutive=True)
-    results = [Involution(p.elements, image) for image in sorted(tuple(f.tolist()) for f in found)]
+    results = [Involution(p.elements, tuple(f.tolist())) for f in found]
     for inv in results:
         # every emitted involution re-validates against the axioms
         if not check_antitone_involution(p, inv).overall:

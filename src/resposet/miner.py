@@ -129,7 +129,7 @@ class MinerOutcome:
     satisfiable: bool
     structures: list
     stats: MinerStats
-    truncated: bool = False  # hit the result limit before exhausting the space
+    truncated: bool = False  # stopped at its limit-th structure, even when that was the last one
 
 
 def _free_cells(ip: InvolutedPoset, limit):

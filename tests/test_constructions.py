@@ -9,6 +9,7 @@ import pytest
 
 from resposet import (
     ExtensionMode,
+    InvolutedPoset,
     boolean_residuation,
     chain_residuation,
     check_integrality,
@@ -23,9 +24,11 @@ from resposet import (
     structural_equal,
     verify_residuated,
 )
+from resposet.catalog import involuted_posets_up_to_size, posets_up_to_size
 from resposet.constructions import MAX_CARRIER
 from resposet.errors import CarrierTooLarge, ModeUnsatisfiable, NTooSmall
 from resposet.fixtures import (
+    BUILTINS,
     antichain,
     chain_involuted,
     cube_boolean,
@@ -33,6 +36,7 @@ from resposet.fixtures import (
     n5,
     kleene_six_involuted,
     n5_involuted,
+    pseudo_kleene_nine_involuted,
 )
 from resposet.order import Poset, poset_from_covers
 from resposet.residuation import ResiduatedStructure
@@ -400,6 +404,76 @@ class TestCarrierLimit:
 
     def test_limit_itself_is_built(self):
         assert len(chain_residuation(MAX_CARRIER, verify=False).poset) == MAX_CARRIER
+
+
+def _ordinal_sum_leq(labels, p, gaps):
+    """leq of gaps[0] < copy < gaps[1] [< dual copy < gaps[2]], read off the labels.
+
+    #ci lies in the gap that lists i and #ci <= #cj there iff i <= j; (x, t)
+    lies in copy t, ordered by p for t = 1 and by its dual for t = 2; any
+    other label is p's own, in the single copy.
+    """
+    tagged = {f"({x},{t})": (x, t) for x in p.elements for t in (1, 2)} if len(gaps) == 3 else {}
+
+    def place(label):
+        """(block, within-block key), blocks numbered bottom-up."""
+        if label.startswith("#c"):
+            i = int(label[2:])
+            return next(2 * g for g, gap in enumerate(gaps) if i in gap), i
+        x, t = tagged.get(label, (label, 1))
+        return 2 * t - 1, (x, t)
+
+    def within(a, b):
+        if isinstance(a, int):
+            return a <= b
+        (x, t), (y, _) = a, b
+        return p.leq(x, y) if t == 1 else p.leq(y, x)
+
+    places = [place(label) for label in labels]
+    return np.array(
+        [[bx < by or (bx == by and within(kx, ky)) for by, ky in places] for bx, kx in places]
+    )
+
+
+def _carrier_cases():
+    """(construction id, built carrier, input poset, gaps) for every _carrier caller."""
+    involuted_inputs = [InvolutedPoset(p, inv) for p, inv in involuted_posets_up_to_size(4)]
+    involuted_inputs += [n5_involuted(), kleene_six_involuted(), pseudo_kleene_nine_involuted()]
+
+    def thm2_gaps(n):
+        return range(1, n + 1), range(n + 1, 2 * n + 1)
+
+    for index, ip in enumerate(involuted_inputs):
+        p = ip.poset
+        yield f"thm1-addfour-{index}", extend_theorem1(ip, verify=False), p, thm2_gaps(2)
+        if None not in p.bounds():
+            reuse = extend_theorem1(ip, ExtensionMode.REUSE_BOUNDS, verify=False)
+            yield f"thm1-reusebounds-{index}", reuse, p, ((1,), (4,))
+        for n in (2, 3):
+            yield f"thm2-n{n}-{index}", extend_theorem2(ip, n, verify=False), p, thm2_gaps(n)
+    for index, p in enumerate(posets_up_to_size(4)):
+        for n, k in ((2, 0), (2, 1)):
+            gaps = range(1, n + 1), range(n + 1, n + k + 1), range(n + k + 1, 2 * n + k + 1)
+            yield f"thm3-n{n}-k{k}-{index}", extend_theorem3(p, n, k, verify=False), p, gaps
+    empty = Poset((), np.zeros((0, 0), dtype=bool))
+    for n in range(3, 7):
+        yield f"cor1-n{n}", chain_residuation(n, verify=False), empty, (range(1, n + 1), ())
+    for name in ("cube4", "cube8"):
+        B = BUILTINS[name]()
+        for n in (1, 2):
+            result = extend_boolean_theorem5(B, n, verify=False)
+            yield f"thm5-{name}-n{n}", result, B.lattice, thm2_gaps(n)
+
+
+class TestCarrierIsOrdinalSum:
+    def test_every_carrier_is_the_ordinal_sum(self):
+        cases = list(_carrier_cases())
+        assert len(cases) > 100
+        for case, result, p, gaps in cases:
+            q = result.poset
+            expected = len(p) * (len(gaps) - 1) + sum(map(len, gaps))
+            assert len(set(q.elements)) == len(q) == expected, case
+            assert np.array_equal(q.leq_matrix, _ordinal_sum_leq(q.elements, p, gaps)), case
 
 
 class TestStructuralEquality:
