@@ -23,6 +23,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -128,31 +129,56 @@ def parse_structure(doc) -> Bundle:
 
 
 def _read_table(doc, key, poset):
-    """The table as an int64 index matrix, filled a row at a time as it is checked."""
+    """The table as an int64 index matrix, its cells mapped in one pass.
+
+    The cells go into the matrix in each row's key order.  A row whose
+    keys are not in element order, which dump never writes, is then
+    moved into place through a column index, one per key sequence.  A
+    flaw anywhere sends the table to _bad_table, which raises what a
+    row-by-row check meets first.
+    """
     table = _expect(doc, key, dict)
-    els = poset.elements
-    index = {x: i for i, x in enumerate(els)}
-    matrix = np.empty((len(els), len(els)), dtype=np.int64)
-    for i, x in enumerate(els):
+    els, index = poset.elements, poset._index
+    n = len(els)
+    # each key sequence's column index, None in element order; json.load
+    # gives equal keys one object, so a row in the same order as an
+    # earlier one compares by identity
+    columns = {}
+    try:
+        rows = list(map(table.__getitem__, els))
+        # labels are strings, so a value that is not one misses index too;
+        # too few cells in all, or in one row, is a ValueError below
+        cells = map(index.__getitem__, chain.from_iterable(map(dict.values, rows)))
+        matrix = np.fromiter(cells, np.int64, n * n).reshape(n, n)
+        for i, keys in enumerate(map(tuple, rows)):
+            if keys not in columns:
+                columns[keys] = (
+                    None if keys == els
+                    else np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+                )
+            if columns[keys] is not None:
+                matrix[i, columns[keys]] = matrix[i].copy()
+    except (KeyError, TypeError, ValueError):
+        matrix = None
+    if matrix is None or len(table) != n:
+        _bad_table(key, table, index)
+    return matrix
+
+
+def _bad_table(key, table, index):
+    """Raise for the first flaw of the table, row by row in element order."""
+    for x in index:
         if x not in table:
             raise SchemaViolation(f"row {x!r} is missing", f"/{key}")
         row = table[x]
         if not isinstance(row, dict):
             raise SchemaViolation(f"row {x!r} must be an object", _pointer(key, x))
-        # labels are strings, so a value that is not one misses index too
-        cells = map(index.__getitem__, map(row.__getitem__, els))
-        try:
-            matrix[i] = np.fromiter(cells, np.int64, len(els))
-        except (KeyError, TypeError):
-            _bad_cell(key, x, row, index)
-            raise  # not reached: the row has a bad cell
-        if len(row) != len(els):
-            extra = sorted(set(row) - set(els))
+        _bad_cell(key, x, row, index)
+        if len(row) != len(index):
+            extra = sorted(set(row) - set(index))
             raise SchemaViolation(f"unknown column {extra[0]!r}", _pointer(key, x))
-    if len(table) != len(els):
-        extra = sorted(set(table) - set(els))
-        raise SchemaViolation(f"unknown row {extra[0]!r}", f"/{key}")
-    return matrix
+    extra = sorted(set(table) - set(index))
+    raise SchemaViolation(f"unknown row {extra[0]!r}", f"/{key}")
 
 
 def _bad_cell(key, x, row, index):
@@ -223,25 +249,22 @@ def _indented(o, level, encoded, frames):
     """The text of o nested ``level`` deep, in pieces of one row or less.
 
     json.dump with an indent encodes in pure Python.  A container holding no
-    non-empty container is one row here.  A dict row of strings only is its
-    frame from ``frames``, one per depth and key sequence, with the values
-    from ``encoded`` in every other slot; the first key or value that is not
-    a string makes ``encoded`` raise TypeError.  Any other row goes to
-    json's C encoder whole, with an item separator that carries the line
-    break and indent: it is the only path for numbers, booleans and None,
-    which a memo keyed by value would conflate (1 == 1.0 == True).  Only the
-    containers above the rows are walked in Python.
+    non-empty container is one row here.  A row of strings only is joined
+    by _string_row from the memo ``encoded``; the first key or value that
+    is not a string makes ``encoded`` raise TypeError.  Any other row goes
+    to json's C encoder whole, with an item separator that carries the
+    line break and indent: it is the only path for numbers, booleans and
+    None, which a memo keyed by value would conflate (1 == 1.0 == True).
+    Only the containers above the rows are walked in Python.
     """
     is_dict = isinstance(o, dict)
-    if is_dict:
+    if isinstance(o, _CONTAINERS):
         try:
-            cells = list(map(encoded.__getitem__, o.values()))
-            frame = _frame(tuple(o), level, encoded, frames)
+            text = _string_row(o, level, encoded, frames)
         except TypeError:
             pass
         else:
-            frame[1::2] = cells
-            yield "".join(frame)
+            yield text
             return
     values = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
     inner = "\n" + "  " * (level + 1)
@@ -261,6 +284,22 @@ def _indented(o, level, encoded, frames):
             yield _row_encoder(level).encode({key: None})[1:-len(": null}")] + ": "
         yield from _indented(value, level + 1, encoded, frames)
     yield inner[:-2] + ("}" if is_dict else "]")
+
+
+def _string_row(o, level, encoded, frames):
+    """The text of a dict or list of strings; TypeError at the first key or item that is not one.
+
+    A dict row is its frame from ``frames``, one per depth and key
+    sequence, with its encoded values in every other slot.
+    """
+    if isinstance(o, dict):
+        cells = list(map(encoded.__getitem__, o.values()))
+        frame = _frame(tuple(o), level, encoded, frames)
+        frame[1::2] = cells
+        return "".join(frame)
+    cells = list(map(encoded.__getitem__, o))
+    inner = "\n" + "  " * (level + 1)
+    return "[" + inner + ("," + inner).join(cells) + inner[:-2] + "]" if cells else "[]"
 
 
 def _frame(keys, level, encoded, frames):

@@ -62,7 +62,7 @@ def involution_from_mapping(p: Poset, mapping: dict) -> Involution:
 
 def _antitone(leq: np.ndarray, f: np.ndarray) -> np.ndarray:
     """[x, y]: x <= y but not f(y) <= f(x), for an index map f over leq's elements."""
-    return leq & ~leq[np.ix_(f, f)].T
+    return leq & ~leq[f][:, f].T
 
 
 def check_antitone_involution(p: Poset, f) -> VerificationReport:

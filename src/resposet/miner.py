@@ -9,9 +9,10 @@ the axioms:
                  (the unit is the greatest element)
   monotonicity:  a <= b implies a . c <= b . c; when the element order
                  is a linear extension, each node compares its new cell
-                 (i, j) only with a . j for a < i and i . b for b < j,
-                 which decides it as the whole box of comparable
-                 assigned cells would; otherwise it scans that box
+                 (i, j) only with a . j for the lower covers a of i and
+                 i . b for the lower covers b of j, which decides it as
+                 the whole box of comparable assigned cells would;
+                 otherwise it scans that box
   negation-zero: when the derived negation must equal the involution,
                  x . y = 0 exactly when x <= y'
   associativity: (a . b) . c = a . (b . c) on every triple whose four
@@ -171,10 +172,13 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     rows = p.leq_matrix.tolist()
     down = [[a for a in range(n) if rows[a][x]] for x in range(n)]
     up = [[a for a in range(n) if rows[x][a]] for x in range(n)]
-    # strict down-sets; whether the element order is a linear extension
-    # is a property of the input, decided once
-    below = [[a for a in down[x] if a != x] for x in range(n)]
-    cross = all(a < x for x in range(n) for a in below[x])
+    # lower covers, ascending; whether the element order is a linear
+    # extension, which it is when every cover is, is a property of the
+    # input, decided once
+    lower = [[] for _ in range(n)]
+    for a, x in zip(*(side.tolist() for side in p._reduction)):
+        lower[x].append(a)
+    cross = all(a < x for x in range(n) for a in lower[x])
     inv = ip.involution.image
     zero = p.index(p.bounds()[0]) if require_negation else -1
     # x . y is a common lower bound of x and y (integrality) and, when the
@@ -250,12 +254,13 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
         # The assigned cells form a monotone partial table, since every
         # ancestor passed, so a < i gives a . b <= a . j, both assigned.  The
         # box check thus fails exactly when a . j <= v fails for an a < i or
-        # i . b <= v fails for a b < j.
+        # i . b <= v fails for a b < j.  An a < i lies below a lower cover c
+        # of i, and a . j <= c . j, so the lower covers of i and j suffice.
         low, row_i = at_most[v], t[i]
-        for a in below[i]:
+        for a in lower[i]:
             if not low[t[a][j]]:
                 return False
-        for b in below[j]:
+        for b in lower[j]:
             if not low[row_i[b]]:
                 return False
         return True

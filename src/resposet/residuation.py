@@ -4,11 +4,11 @@ A ResiduatedStructure stores both operation tables as dense integer
 matrices over the poset's element indices; verification is exhaustive
 over all pairs/triples, vectorized with numpy so even the soundness
 corpus stays fast.  The triple checks run as [x, y, z] cubes built in
-x-slabs of SLAB_CELLS cells.  Up to one slab (about 100 elements) both
-associativity and adjointness are cubes.  Past one slab, adjointness is
+x-slabs of SLAB_CELLS cells.  Below GALOIS_FROM elements both
+associativity and adjointness are cubes.  From there on, adjointness is
 the Galois test on covers, O(n |covers| + n^2), with the cube kept to
-find the first witness of a failure, and associativity builds half its
-cube once commutativity holds.  _residuals derives the arrow of a table
+find the first witness of a failure.  Past one slab (about 100
+elements) associativity builds half its cube once commutativity holds.  _residuals derives the arrow of a table
 by the down-set test, which is adjointness itself; the miner's leaves
 take both from it.
 """
@@ -24,9 +24,15 @@ from .order import Poset
 from .report import VerificationReport, failed, passed, verdict
 
 # cells per x-slab of a triple check; carriers up to ~100 elements take one
-# slab.  It also decides how verify_residuated checks adjointness: as a cube
-# up to one slab, by the Galois test past it.
+# slab.
 SLAB_CELLS = 1 << 20
+# the carrier size from which verify_residuated checks adjointness by the
+# Galois test and not by the cube.  Per call, one BLAS thread, cube against
+# Galois with the covers already computed (a construction computes them for
+# its JSON document anyway): 232-244 against 146-155 us at 50 elements (a
+# Corollary 1 chain), 3.4-3.8 against 0.38-0.47 ms at 100; at 9 and 13
+# elements the cube wins, 15-20 against 46-55 us.
+GALOIS_FROM = 50
 
 
 @dataclass(frozen=True)
@@ -107,9 +113,9 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
     unit-law, adjointness.  A failed check carries the first violating
     tuple in element order.
 
-    Associativity is an [x, y, z] cube built one slab at a time.  Up to
-    one slab (n**3 <= SLAB_CELLS) adjointness is a cube too.  Past it,
-    the Galois test on covers (_galois) decides adjointness, and the
+    Associativity is an [x, y, z] cube built one slab at a time.  Below
+    GALOIS_FROM elements adjointness is a cube too.  From there on, the
+    Galois test on covers (_galois) decides adjointness, and the
     adjointness cube is built only when that test fails, to find the
     first witness; once commutativity holds, each associativity slab
     skips the columns z below its first row.
@@ -122,7 +128,7 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
     u = p.index(s.unit)
     # the triple checks take xs, a slice of x rows, and zs, a slice of z
     # columns, and give [x, y, z] cubes
-    if n**3 > SLAB_CELLS and _galois(s):
+    if n >= GALOIS_FROM and _galois(s):
         adjointness = passed("adjointness")
     else:
         # x . y <= z  vs  x <= y -> z

@@ -25,13 +25,16 @@ from resposet.fixtures import (
     chain_involuted,
     cube_boolean,
     kleene_six,
+    kleene_six_involuted,
     n5,
     n5_involuted,
     pseudo_kleene_nine,
+    pseudo_kleene_nine_involuted,
 )
 from resposet.order import poset_from_covers
 from resposet.report import VerificationReport, failed, passed, verdict
 from resposet.residuation import (
+    GALOIS_FROM,
     SLAB_CELLS,
     ResiduatedStructure,
     _galois,
@@ -205,6 +208,34 @@ class TestVerify:
             past += witness is not None and s.poset.index(witness[0]) >= SLAB_CELLS // n**2
         assert past > 0
 
+    @pytest.mark.parametrize(
+        "carrier",
+        [
+            lambda n: chain_residuation(n, verify=False).structure,
+            # Theorem 2 adds 2m chain elements: to pk9's 9, or kleene6's 6
+            lambda n: extend_theorem2(
+                *((pseudo_kleene_nine_involuted(), (n - 9) // 2) if n % 2
+                  else (kleene_six_involuted(), (n - 6) // 2)),
+                verify=False,
+            ).structure,
+        ],
+        ids=["cor1", "thm2"],
+    )
+    @pytest.mark.parametrize("n", [GALOIS_FROM - 1, GALOIS_FROM, GALOIS_FROM + 1])
+    def test_reports_around_the_galois_crossover_match_the_cubes(self, carrier, n):
+        # below GALOIS_FROM adjointness is a cube, from there the Galois test
+        s = carrier(n)
+        assert len(s.elements) == n
+        assert str(verify_residuated(s)) == str(verify_residuated_cubes(s))
+        rng = random.Random(n)
+        for kind in ("odot-symmetric", "odot", "arrow") * 2:
+            # each of x . y and y -> z determines the other, so every
+            # mutation breaks adjointness
+            bad = mutate(s, rng, kind)
+            report = verify_residuated(bad)
+            assert not report.check("adjointness").passed
+            assert str(report) == str(verify_residuated_cubes(bad))
+
     def test_noncommutative_odot_takes_the_whole_cube(self):
         # with x . y != y . x the first failure can have z below its slab
         s = chain_residuation(150).structure
@@ -235,8 +266,8 @@ class TestVerify:
             assert str(verify_residuated(bad)) == str(verify_residuated_cubes(bad))
 
     def test_galois_test_matches_the_cube_on_the_corpus(self, involuted_corpus):
-        # the corpus carriers are one slab, so verify_residuated never
-        # reaches the Galois test on them: call it directly.  Each of
+        # the corpus carriers are below GALOIS_FROM, so verify_residuated
+        # never reaches the Galois test on them: call it directly.  Each of
         # x . y and y -> z determines the other, so every mutation breaks
         # adjointness.
         rng = random.Random(13)
