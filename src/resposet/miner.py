@@ -354,7 +354,6 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     # depth-first over an explicit stack, so a carrier whose free cells
     # outnumber the recursion limit is searched too; pos is the depth,
     # one cell per level
-    truncated = False
     pos = 0
     while True:
         if pos == len(cells):
@@ -368,6 +367,10 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
             if pos < len(cells):
                 pending[pos] = iter(candidates[pos])
             continue
+        # results grow only at a leaf, so the search stops at the leaf of
+        # its limit-th result, the one-point carrier's root included
+        if len(results) >= limit:
+            break
         # back to the parent's cell, which tries its next candidate
         pos -= 1
         if pos < 0:
@@ -376,14 +379,11 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
         v = t[i][j]
         t[i][j] = t[j][i] = -1
         del preimage[v][-len(sides[pos]):]
-        if len(results) >= limit:
-            truncated = True
-            break
-    if leaves:
+    if leaves:  # fewer than the results still wanted
         check_leaves()
     stats.nodes = nodes
     stats.prunes.update((rule, count) for rule, count in pruned.items() if count)
-    return MinerOutcome(bool(results), results, stats, truncated)
+    return MinerOutcome(bool(results), results, stats, len(results) >= limit)
 
 
 def find_residuations_naive(ip: InvolutedPoset, require_negation=True, limit=10**9) -> MinerOutcome:

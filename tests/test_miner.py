@@ -174,10 +174,8 @@ def find_residuations_rescan(ip, require_negation=True, limit=16, joins=True):
         return not ((join[x_y, x_z] != x_w) & (x_y >= 0) & (x_z >= 0) & (x_w >= 0)).any()
 
     results = []
-    truncated = False
 
     def search(pos):
-        nonlocal truncated
         if pos == len(cells):
             leaf = leaf_reference(ip, top, t.copy(), require_negation)
             if isinstance(leaf, str):
@@ -202,11 +200,11 @@ def find_residuations_rescan(ip, require_negation=True, limit=16, joins=True):
                 search(pos + 1)
             table[i, j] = table[j, i] = -1
             if len(results) >= limit:
-                truncated = True
                 break
 
     search(0)
-    return MinerOutcome(bool(results), results, stats, truncated)
+    # truncated: stopped at its limit-th result, a root leaf's included
+    return MinerOutcome(bool(results), results, stats, len(results) >= limit)
 
 
 def bounded_pairs_and_extensions(max_size):
@@ -404,8 +402,8 @@ SEARCH_TREES = [
      (19, True, {"nodes": 268, "prunes": {"associativity": 42, "joins": 29, "monotonicity": 92}})),
     ("kleene6-any-negation-limit20", kleene_six_involuted, False, 20,
      (19, False, {"nodes": 268, "prunes": {"associativity": 42, "joins": 29, "monotonicity": 92}})),
-    # no free cell: the one leaf is the root, and the search ends with it
-    ("one-point-limit1", lambda: chain_inv(1), True, 1, (1, False, {"nodes": 0, "prunes": {}})),
+    # no free cell: the one leaf is the root, and its result is the limit-th
+    ("one-point-limit1", lambda: chain_inv(1), True, 1, (1, True, {"nodes": 0, "prunes": {}})),
     ("chain2-limit1", lambda: chain_inv(2), True, 1, (1, True, {"nodes": 1, "prunes": {}})),
     ("chain10", lambda: chain_inv(10), True, ALL,
      (161, False, {"nodes": 9184, "prunes": {"associativity": 2889, "monotonicity": 4575}})),
@@ -554,6 +552,14 @@ class TestLimitsAndErrors:
             assert cut.truncated
             assert len(cut.structures) == 1
             assert cut.structures[0] == full.structures[0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_limit_one_truncates_as_the_naive_oracle_does(self, n):
+        # on the one-point carrier the leaf is the root
+        pruned = find_residuations(chain_inv(n), limit=1)
+        naive = find_residuations_naive(chain_inv(n), limit=1)
+        assert (pruned.structures, pruned.truncated) == (naive.structures, naive.truncated)
+        assert pruned.truncated
 
     def test_limit_zero(self):
         with pytest.raises(LimitZero):
