@@ -8,9 +8,9 @@ x-slabs of SLAB_CELLS cells.  Below GALOIS_FROM elements both
 associativity and adjointness are cubes.  From there on, adjointness is
 the Galois test on covers, O(n |covers| + n^2), with the cube kept to
 find the first witness of a failure.  Past one slab (about 100
-elements) associativity builds half its cube once commutativity holds.  _residuals derives the arrow of a table
-by the down-set test, which is adjointness itself; the miner's leaves
-take both from it.
+elements) associativity builds half its cube once commutativity holds.
+_residuals derives the arrow of a table by the down-set test, which is
+adjointness itself; the miner's leaves take both from it.
 """
 
 import itertools

@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -147,6 +148,11 @@ class TestSchema:
             ({"odot": {"a/b": {"a/b": "a/b", "x~y": "a/b"},
                        "x~y": {"a/b": "x~y", "x~y": "x~y"}, "z": {}}}, "/odot"),
             ({"involution": {"z": "a/b"}}, "/involution"),
+            # rows whose keys are out of element order
+            ({"odot": {"a/b": {"z": "a/b", "a/b": "a/b"},
+                       "x~y": {"x~y": "x~y", "a/b": "x~y"}}}, "/odot/a~1b"),
+            ({"odot": {"a/b": {"x~y": "a/b", "a/b": "a/b"},
+                       "x~y": {"x~y": "x~y", "a/b": "x~y", "z": "z"}}}, "/odot/x~0y"),
         ],
     )
     def test_pointer_escapes_labels(self, change, pointer):
@@ -157,6 +163,18 @@ class TestSchema:
         with pytest.raises(SchemaViolation) as exc:
             parse_structure(dict(doc, **change))
         assert exc.value.path == pointer
+
+    def test_rows_in_any_key_order_read_the_same_tables(self):
+        s = extend_theorem1(n5_involuted(), ExtensionMode.ADD_FOUR).structure
+        doc = structure_to_doc(s)
+        for key in ("odot", "arrow"):
+            table = {}
+            for i, (x, row) in enumerate(doc[key].items()):
+                cells = list(row.items())
+                table[x] = dict(cells[i % 3:] + cells[:i % 3])  # element order and two rotations
+            doc[key] = dict(reversed(table.items()))  # the rows in reverse too
+        back = roundtrip(doc).structure
+        assert np.array_equal(back.odot, s.odot) and np.array_equal(back.arrow, s.arrow)
 
     def test_bad_involution_is_invalid_involution(self):
         doc = dict(N5_DOC, involution={x: x for x in N5_DOC["elements"]})

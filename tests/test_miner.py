@@ -8,7 +8,9 @@ import pytest
 from resposet import (
     chain_residuation,
     enumerate_antitone_involutions,
+    extend_boolean_theorem5,
     extend_theorem1,
+    extend_theorem3,
     find_residuations,
     find_residuations_naive,
     involuted,
@@ -536,12 +538,45 @@ class TestDeepSearch:
         assert capsys.readouterr().out.startswith("satisfiable: 1 structure(s) found")
 
 
+def construction_outputs():
+    """(id, construction) pairs whose carriers the miner enumerates in well under 0.1 s.
+
+    Corollary 1 on chains of 5 to 7, Theorem 3 with n = 2 and k = 0 or 1
+    on every poset of up to 3 points (carriers of 6 to 11 elements), and
+    Theorem 5 on the 2- and 4-element Boolean algebras.
+    """
+    for n in range(5, 8):
+        yield f"cor1-{n}", lambda n=n: chain_residuation(n)
+    for size in (1, 2, 3):
+        for j, p in enumerate(posets_of_size(size)):
+            for k in (0, 1):
+                yield f"thm3-2-{k}-p{size}.{j}", lambda p=p, k=k: extend_theorem3(p, 2, k)
+    for dim, n in ((1, 1), (2, 1), (2, 2)):
+        yield f"thm5-cube{2**dim}-{n}", lambda dim=dim, n=n: extend_boolean_theorem5(cube_boolean(dim), n)
+
+
+CONSTRUCTION_OUTPUTS = list(construction_outputs())
+
+
 class TestConstructionOutputsAccepted:
     def test_miner_finds_chain_residuation(self):
         for n in (3, 4):
             standard = chain_residuation(n).structure
             outcome = find_residuations(chain_inv(n), limit=10**6)
             assert any(structural_equal(s, standard) for s in outcome.structures)
+
+    @pytest.mark.parametrize(
+        "make",
+        [make for _, make in CONSTRUCTION_OUTPUTS],
+        ids=[key for key, _ in CONSTRUCTION_OUTPUTS],
+    )
+    def test_full_enumeration_holds_the_construction(self, make):
+        # the structure a construction builds, and not merely an isomorphic
+        # one, is among the miner's structures on its involuted carrier
+        result = make()
+        outcome = find_residuations(involuted(result.poset, result.involution), limit=10**6)
+        assert not outcome.truncated
+        assert result.structure in outcome.structures
 
 
 class TestLimitsAndErrors:

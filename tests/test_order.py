@@ -250,7 +250,39 @@ def relations(draw):
 
 @given(relations())
 def test_closure_matches_squaring(data):
-    labels, pairs = data
+    check_closure(*data)
+
+
+def chain_listed(n, top_down):
+    """The covers of the n-chain v0 < v1 < ..., its labels listed bottom-up or top-down."""
+    labels = [f"v{i}" for i in range(n)]
+    pairs = list(zip(labels, labels[1:]))
+    return (labels[::-1] if top_down else labels), pairs
+
+
+@pytest.mark.parametrize(
+    "labels, pairs",
+    [
+        chain_listed(300, top_down=False),
+        chain_listed(300, top_down=True),
+        # a 3-cycle a -> b -> c -> a below d
+        (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]),
+        # the 3-cycle d -> c -> b -> d, with a below it, listed against it
+        (["a", "b", "c", "d"], [("d", "c"), ("c", "b"), ("b", "d"), ("a", "b")]),
+        # a -> b -> c -> a, then a -> d -> e: the search leaves c and b before
+        # it reaches e, so one sweep misses e in their rows
+        (["a", "b", "c", "d", "e"], [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "e")]),
+    ],
+    ids=["chain300-bottom-up", "chain300-top-down", "cycle-abc", "cycle-dcb", "cycle-then-tail"],
+)
+def test_long_chains_and_cycles_match_squaring(labels, pairs):
+    # a sweep in one fixed index order would close one of the two listings
+    # a row per pass
+    check_closure(labels, pairs)
+
+
+def check_closure(labels, pairs):
+    """_transitive_closure and poset_from_relation against squaring_closure."""
     n = len(labels)
     index = {x: i for i, x in enumerate(labels)}
     rel = np.eye(n, dtype=bool)
