@@ -146,8 +146,8 @@ def _read_table(doc, key, poset):
     columns = {}
     try:
         rows = list(map(table.__getitem__, els))
-        # labels are strings, so a value that is not one misses index too;
-        # too few cells in all, or in one row, is a ValueError below
+        # labels are strings, so a value or key that is not one misses index
+        # too; too few cells, in all or in one row, is a ValueError
         cells = map(index.__getitem__, chain.from_iterable(map(dict.values, rows)))
         matrix = np.fromiter(cells, np.int64, n * n).reshape(n, n)
         for i, keys in enumerate(map(tuple, rows)):
@@ -166,29 +166,24 @@ def _read_table(doc, key, poset):
 
 
 def _bad_table(key, table, index):
-    """Raise for the first flaw of the table, row by row in element order."""
+    """Raise for the first flaw of the table: rows in element order, cells in column order."""
     for x in index:
         if x not in table:
             raise SchemaViolation(f"row {x!r} is missing", f"/{key}")
         row = table[x]
         if not isinstance(row, dict):
             raise SchemaViolation(f"row {x!r} must be an object", _pointer(key, x))
-        _bad_cell(key, x, row, index)
+        for y in index:
+            if y not in row:
+                raise SchemaViolation(f"entry {y!r} is missing", _pointer(key, x))
+            value = row[y]
+            if not isinstance(value, str) or value not in index:
+                raise SchemaViolation(f"value {value!r} is not an element", _pointer(key, x, y))
         if len(row) != len(index):
             extra = sorted(set(row) - set(index))
             raise SchemaViolation(f"unknown column {extra[0]!r}", _pointer(key, x))
     extra = sorted(set(table) - set(index))
     raise SchemaViolation(f"unknown row {extra[0]!r}", f"/{key}")
-
-
-def _bad_cell(key, x, row, index):
-    """Raise for the first cell of the row that is missing or not an element, in column order."""
-    for y in index:
-        if y not in row:
-            raise SchemaViolation(f"entry {y!r} is missing", _pointer(key, x))
-        value = row[y]
-        if not isinstance(value, str) or value not in index:
-            raise SchemaViolation(f"value {value!r} is not an element", _pointer(key, x, y))
 
 
 def load_structure(stream) -> Bundle:

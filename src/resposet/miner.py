@@ -172,13 +172,10 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     rows = p.leq_matrix.tolist()
     down = [[a for a in range(n) if rows[a][x]] for x in range(n)]
     up = [[a for a in range(n) if rows[x][a]] for x in range(n)]
-    # lower covers, ascending; whether the element order is a linear
-    # extension, which it is when every cover is, is a property of the
-    # input, decided once
-    lower = [[] for _ in range(n)]
-    for a, x in zip(*(side.tolist() for side in p._reduction)):
-        lower[x].append(a)
-    cross = all(a < x for x in range(n) for a in lower[x])
+    # strict down-sets; whether the element order is a linear extension
+    # is a property of the input, decided once
+    below = [[a for a in down[x] if a != x] for x in range(n)]
+    cross = all(a < x for x in range(n) for a in below[x])
     inv = ip.involution.image
     zero = p.index(p.bounds()[0]) if require_negation else -1
     # x . y is a common lower bound of x and y (integrality) and, when the
@@ -208,6 +205,17 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
                     partners[a].append((b, w))
                     partners[b].append((a, w))
     touched = [bool(partners[y] or splits[y]) for y in range(n)]
+    # the lower covers of each x, for the cross: in a linear extension
+    # whatever lies above a has a larger index, so, from the top of
+    # below[x] down, a is a lower cover when no lower cover found so far
+    # is above it
+    lower = [[] for _ in range(n)]
+    for x in range(n) if cross else ():
+        found = 0
+        for a in reversed(below[x]):
+            if not ups[a] & found:
+                found |= 1 << a
+                lower[x].append(a)
     joined = [touched[i] or touched[j] for i, j in cells]
 
     # the table as int rows, -1 where unassigned; preimage[x] lists the
