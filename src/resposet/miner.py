@@ -205,18 +205,19 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
                     partners[a].append((b, w))
                     partners[b].append((a, w))
     touched = [bool(partners[y] or splits[y]) for y in range(n)]
+    joined = [touched[i] or touched[j] for i, j in cells]
     # the lower covers of each x, for the cross: in a linear extension
     # whatever lies above a has a larger index, so, from the top of
     # below[x] down, a is a lower cover when no lower cover found so far
     # is above it
     lower = [[] for _ in range(n)]
-    for x in range(n) if cross else ():
-        found = 0
-        for a in reversed(below[x]):
-            if not ups[a] & found:
-                found |= 1 << a
-                lower[x].append(a)
-    joined = [touched[i] or touched[j] for i, j in cells]
+    if cross:
+        for x in range(n):
+            found = 0
+            for a in reversed(below[x]):
+                if not ups[a] & found:
+                    found |= 1 << a
+                    lower[x].append(a)
 
     # the table as int rows, -1 where unassigned; preimage[x] lists the
     # assigned cells (a, b) off the unit row, both orientations, with
