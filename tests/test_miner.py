@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -50,6 +51,24 @@ def reversed_order(ip):
     """
     p = ip.poset
     return involuted(poset_from_covers(reversed(p.elements), p.covers()), ip.involution.mapping)
+
+
+def shuffled_order(ip, seed=0):
+    """The same involuted poset with its elements listed in a seeded random order."""
+    p = ip.poset
+    elements = random.Random(seed).sample(p.elements, len(p))
+    return involuted(poset_from_covers(elements, p.covers()), ip.involution.mapping)
+
+
+def order_kind(ip):
+    """Whether the element order is a linear extension, the dual of one, or neither (None)."""
+    leq = ip.poset.leq_matrix
+    pairs = [(a, b) for a, b in zip(*np.nonzero(leq)) if a != b]
+    if all(a < b for a, b in pairs):
+        return "extension"
+    if all(a > b for a, b in pairs):
+        return "dual"
+    return None
 
 
 class TestPentagonImpossibility:
@@ -243,6 +262,14 @@ class TestRescanOracle:
         # order is not a linear extension and the miner checks whole boxes
         assert self.searches_agreeing(map(reversed_order, bounded_pairs_and_extensions(4))) == 94
 
+    def test_same_search_on_shuffled_orders(self):
+        # each carrier in its own seeded order; all but the carriers of one
+        # and two points get one that is neither a linear extension nor its
+        # dual, so the miner checks whole boxes
+        carriers = [shuffled_order(ip, seed) for seed, ip in enumerate(bounded_pairs_and_extensions(4))]
+        assert Counter(map(order_kind, carriers)) == {None: 35, "extension": 2}
+        assert self.searches_agreeing(carriers) == 94
+
     def test_same_structures_as_the_rescan_without_joins(self):
         # the join rule is sound: it cuts only tables that no structure
         # completes.  Without negation the rescan visits tens of thousands
@@ -419,6 +446,13 @@ SEARCH_TREES = [
      (19, False, {"nodes": 408, "prunes": {"associativity": 40, "joins": 35, "monotonicity": 92}})),
     ("chain8-reversed", lambda: reversed_order(chain_inv(8)), True, ALL,
      (31, False, {"nodes": 3588, "prunes": {"associativity": 781, "monotonicity": 1052}})),
+    # an element order that is neither a linear extension nor its dual
+    ("kleene6-shuffled", lambda: shuffled_order(kleene_six_involuted()), True, ALL,
+     (4, False, {"nodes": 54, "prunes": {"associativity": 7, "joins": 1, "monotonicity": 10}})),
+    ("kleene6-shuffled-any-negation", lambda: shuffled_order(kleene_six_involuted()), False, ALL,
+     (19, False, {"nodes": 298, "prunes": {"associativity": 40, "joins": 31, "monotonicity": 91}})),
+    ("chain8-shuffled", lambda: shuffled_order(chain_inv(8)), True, ALL,
+     (31, False, {"nodes": 2029, "prunes": {"associativity": 277, "monotonicity": 508}})),
 ]
 
 
@@ -431,6 +465,10 @@ class TestSearchTree:
     def test_stats_are_pinned(self, make, require_negation, limit, expected):
         outcome = find_residuations(make(), require_negation=require_negation, limit=limit)
         assert (len(outcome.structures), outcome.truncated, outcome.stats.as_dict()) == expected
+
+    def test_shuffled_pins_are_neither_order(self):
+        for make in (kleene_six_involuted, lambda: chain_inv(8)):
+            assert order_kind(shuffled_order(make())) is None
 
 
 def bounded_sum(p, inv):
