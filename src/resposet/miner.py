@@ -7,12 +7,14 @@ the axioms:
 
   integrality:   x . y must be a common lower bound of x and y
                  (the unit is the greatest element)
-  monotonicity:  a <= b implies a . c <= b . c; when the element order
-                 is a linear extension, each node compares its new cell
-                 (i, j) only with a . j for the lower covers a of i and
-                 i . b for the lower covers b of j, which decides it as
-                 the whole box of comparable assigned cells would;
-                 otherwise it scans that box
+  monotonicity:  a <= b implies a . c <= b . c; on entering cell (i, j)
+                 the search bounds its values, as one int mask, by the
+                 assigned cells comparable to it, and each candidate
+                 outside the mask is pruned.  When the element order is
+                 a linear extension the bound comes from a . j and i . b
+                 for the lower covers a of i and b of j, when it is the
+                 dual of one from the upper covers, and otherwise from
+                 the whole box of comparable assigned cells
   negation-zero: when the derived negation must equal the involution,
                  x . y = 0 exactly when x <= y'
   associativity: (a . b) . c = a . (b . c) on every triple whose four
@@ -44,7 +46,7 @@ counts each table it rejects under its prune rule.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -56,9 +58,9 @@ from .residuation import SLAB_CELLS, ResiduatedStructure, _residuals
 # n^3 candidates in per-cell lists: about 3.2 MB at 100 elements, gigabytes
 # at the 1000 a construction may build.  Its leaves are checked in stacks
 # whose n^3 cubes never exceed one SLAB_CELLS slab (one table at 100
-# elements, 606 at 12).  By tracemalloc, a search on the 100-chain peaks at
-# about 6.6 MB (the tests hold it under 7 MB) and the full enumeration of
-# the 12-chain at about 5.8 MB.
+# elements, 606 at 12), each table stacked as n^2 bytes.  By tracemalloc,
+# the first structure of the 100-chain peaks at about 6.6 MB (the tests hold
+# it under 7 MB) and the full enumeration of the 12-chain at about 4.1 MB.
 MAX_CARRIER = 100
 # The most carrier elements the naive oracle searches: it tries all
 # n^(n(n-1)/2) tables, 4,096 at 4 elements and 9,765,625 at 5.
@@ -108,7 +110,8 @@ def _leaf_check(ip: InvolutedPoset, unit, require_negation):
         ok &= (tables[:, u] == identity).all(axis=1)  # unit law
         # [i, x, y, z]: (x . y) . z, table i's row x . y gathered for each
         # (x, y) from the rows of all t tables, in the smallest index dtype;
-        # freed before the structures copy their tables
+        # freed before the structures copy their tables, as int64 whatever
+        # the stack's dtype
         left = tables.astype(small).reshape(t * n, n)[tables + (n * np.arange(t))[:, None, None]]
         ok &= (left == left.transpose(0, 3, 1, 2)).all(axis=(1, 2, 3))  # vs (y . z) . x
         del left
@@ -118,7 +121,7 @@ def _leaf_check(ip: InvolutedPoset, unit, require_negation):
             "residual-missing" if lost
             else "verification" if not sound
             else "negation-mismatch" if wrong
-            else ResiduatedStructure(p, unit, table.copy(), arrow.copy())
+            else ResiduatedStructure(p, unit, table.astype(np.int64), arrow.copy())
             for lost, sound, wrong, table, arrow in zip(missing, ok, mismatch, tables, arrows)
         ]
 
@@ -172,10 +175,11 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     rows = p.leq_matrix.tolist()
     down = [[a for a in range(n) if rows[a][x]] for x in range(n)]
     up = [[a for a in range(n) if rows[x][a]] for x in range(n)]
-    # strict down-sets; whether the element order is a linear extension
-    # is a property of the input, decided once
-    below = [[a for a in down[x] if a != x] for x in range(n)]
-    cross = all(a < x for x in range(n) for a in below[x])
+    # whether the element order is a linear extension (a < b gives index
+    # a < index b: each x ends its down-set) or the dual of one (each x
+    # ends its up-set) is a property of the input, decided once
+    rising = all(down[x][-1] == x for x in range(n))
+    falling = not rising and all(up[x][-1] == x for x in range(n))
     inv = ip.involution.image
     zero = p.index(p.bounds()[0]) if require_negation else -1
     # x . y is a common lower bound of x and y (integrality) and, when the
@@ -194,6 +198,7 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     # of x . (y v z) comes later in row-major order and is unassigned,
     # unless y v z is the unit; partners then keeps only the unit's
     ups = [sum(1 << a for a in up[x]) for x in range(n)]
+    downs = [sum(1 << a for a in down[x]) for x in range(n)]
     join_of = {mask: x for x, mask in enumerate(ups)}
     partners = [[] for _ in range(n)]
     splits = [[] for _ in range(n)]
@@ -201,23 +206,26 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
         for a in range(b):
             if not (rows[a][b] or rows[b][a]) and (w := join_of.get(ups[a] & ups[b])) is not None:
                 splits[w].append((a, b))
-                if not cross or w == u:
+                if not rising or w == u:
                     partners[a].append((b, w))
                     partners[b].append((a, w))
     touched = [bool(partners[y] or splits[y]) for y in range(n)]
     joined = [touched[i] or touched[j] for i, j in cells]
-    # the lower covers of each x, for the cross: in a linear extension
-    # whatever lies above a has a larger index, so, from the top of
-    # below[x] down, a is a lower cover when no lower cover found so far
-    # is above it
-    lower = [[] for _ in range(n)]
-    if cross:
+    # for the cross: the lower covers of each x when the order is a linear
+    # extension, with the up-set masks, and the upper covers when it is the
+    # dual, with the down-set masks.  Whatever lies strictly between x and
+    # a comes before a in the pass over the strict down-set (up-set) from x
+    # outwards, so a is a cover when its mask holds no cover found so far
+    full = (1 << n) - 1
+    covers = [[] for _ in range(n)]
+    near, masks = (down, ups) if rising else (up, downs)
+    if rising or falling:
         for x in range(n):
             found = 0
-            for a in reversed(below[x]):
-                if not ups[a] & found:
+            for a in reversed(near[x][:-1]):
+                if not masks[a] & found:
                     found |= 1 << a
-                    lower[x].append(a)
+                    covers[x].append(a)
 
     # the table as int rows, -1 where unassigned; preimage[x] lists the
     # assigned cells (a, b) off the unit row, both orientations, with
@@ -227,54 +235,52 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     preimage = [[] for _ in range(n)]
     for x in range(n):
         t[u][x] = t[x][u] = x
-    # at_most[v][w]: w <= v, at_least[v][w]: v <= w; the last entry, which
-    # an unassigned cell's -1 looks up, is True
-    at_most = [[rows[w][v] for w in range(n)] + [True] for v in range(n)]
-    at_least = [rows[v] + [True] for v in range(n)]
 
-    def monotone_box(i, j, v):
-        # an assigned (a, b) with a <= i, b <= j needs a . b <= v, and with
-        # i <= a, j <= b needs v <= a . b; t is symmetric, so these also
-        # cover (b, a)
-        low, down_j = at_most[v], down[j]
+    def bound(i, j):
+        """The values v, as an int mask, that keep the table monotone with v at the unassigned cell (i, j).
+
+        An assigned (a, b) with a <= i, b <= j needs a . b <= v, and with
+        i <= a, j <= b needs v <= a . b; t is symmetric, so these also
+        cover (b, a).  Every cell before (i, j) in row-major order is
+        assigned, and none after it but on the unit row.
+        """
+        allowed = full
+        if rising or falling:
+            # When the order is a linear extension (a < b in the order
+            # gives index a < index b), then, as i <= j:
+            # - every (a, b) != (i, j) with a <= i, b <= j is assigned: a < i
+            #   gives min(a, b) < i, and a = i gives b < j;
+            # - no (a, b) != (i, j) with i <= a, j <= b is, but on the unit
+            #   row: min(a, b) >= i, equal only at a = i, b > j.  There
+            #   t[a][b] is a or b, above i or j and so above v (integrality).
+            # The assigned cells form a monotone partial table, since every
+            # ancestor passed, so a < i gives a . b <= a . j, both assigned.
+            # The box thus bounds v exactly by a . j <= v for the a < i and
+            # i . b <= v for the b < j.  An a < i lies below a lower cover c
+            # of i, and a . j <= c . j, so the lower covers of i and j
+            # suffice.  On the dual of a linear extension all this holds
+            # mirrored, index for index: v <= a . j and v <= i . b for the
+            # upper covers a of i and b of j bound v exactly.  There the
+            # unit row holds no a . b with a <= i, b <= j, as the unit is
+            # neither i nor j and so lies below neither.
+            row_i = t[i]
+            for a in covers[i]:
+                allowed &= masks[t[a][j]]
+            for b in covers[j]:
+                allowed &= masks[row_i[b]]
+            return allowed
+        down_j, up_j = down[j], up[j]
         for a in down[i]:
             row = t[a]
             for b in down_j:
-                if not low[row[b]]:
-                    return False
-        high, up_j = at_least[v], up[j]
+                if (w := row[b]) >= 0:
+                    allowed &= ups[w]
         for a in up[i]:
             row = t[a]
             for b in up_j:
-                if not high[row[b]]:
-                    return False
-        return True
-
-    def monotone_cross(i, j, v):
-        # The box check's verdict from the cells just below (i, j), valid
-        # when the element order is a linear extension: a < b in the order
-        # gives index a < index b.  Cells are assigned in row-major order,
-        # i <= j, so then:
-        # - every (a, b) != (i, j) with a <= i, b <= j is assigned: a < i
-        #   gives min(a, b) < i, and a = i gives b < j;
-        # - no (a, b) != (i, j) with i <= a, j <= b is, but on the unit row:
-        #   min(a, b) >= i, equal only at a = i, b > j.  There t[a][b] is a
-        #   or b, above i or j and so above v (integrality).
-        # The assigned cells form a monotone partial table, since every
-        # ancestor passed, so a < i gives a . b <= a . j, both assigned.  The
-        # box check thus fails exactly when a . j <= v fails for an a < i or
-        # i . b <= v fails for a b < j.  An a < i lies below a lower cover c
-        # of i, and a . j <= c . j, so the lower covers of i and j suffice.
-        low, row_i = at_most[v], t[i]
-        for a in lower[i]:
-            if not low[t[a][j]]:
-                return False
-        for b in lower[j]:
-            if not low[row_i[b]]:
-                return False
-        return True
-
-    monotone_ok = monotone_cross if cross else monotone_box
+                if (w := row[b]) >= 0:
+                    allowed &= downs[w]
+        return allowed
 
     def assoc_ok(pos, v):
         # (a . b) . c = a . (b . c) on the complete triples that look up the
@@ -318,20 +324,27 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
 
     nodes = 0
     pruned = {"monotonicity": 0, "associativity": 0, "joins": 0}
-    # each cell's untried candidates, renewed when the search enters it
-    pending = [iter(c) for c in candidates]
+    # each cell's untried candidates and its bound, None until the search
+    # enters the cell and again once it leaves it back up; the cells before
+    # it stay fixed while the search is there
+    pending = [None] * len(cells)
+    bounds = [0] * len(cells)
 
     def advance(pos):
         """Assign cell pos its next candidate that passes every check; False when none is left."""
         nonlocal nodes
         i, j = cells[pos]
         row_i, row_j, side = t[i], t[j], sides[pos]
+        if pending[pos] is None:
+            pending[pos] = iter(candidates[pos])
+            bounds[pos] = bound(i, j)
+        allowed = bounds[pos]
         for v in pending[pos]:
             nodes += 1
-            row_i[j] = row_j[i] = v
-            if not monotone_ok(i, j, v):
+            if not allowed >> v & 1:
                 pruned["monotonicity"] += 1
                 continue
+            row_i[j] = row_j[i] = v
             preimage[v] += side
             if not assoc_ok(pos, v):
                 pruned["associativity"] += 1
@@ -341,19 +354,21 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
                 return True
             del preimage[v][-len(side):]
         row_i[j] = row_j[i] = -1
+        pending[pos] = None
         return False
 
     # leaves wait on a stack, checked when it fills a slab, when it holds as
     # many tables as results are still wanted, and when the search ends; the
     # limit-th result is then the last table of its stack, so the search
-    # stops at its leaf
+    # stops at its leaf.  Each leaf is its table's n^2 values as bytes: they
+    # fit one, as n <= MAX_CARRIER < 256
     verdicts = _leaf_check(ip, top, require_negation)
     batch = max(1, SLAB_CELLS // n**3)
     leaves = []
     results = []
 
     def check_leaves():
-        for leaf in verdicts(np.array(leaves, dtype=np.int64)):
+        for leaf in verdicts(np.frombuffer(b"".join(leaves), np.uint8).reshape(-1, n, n)):
             if isinstance(leaf, str):
                 stats.prune(leaf)
             else:
@@ -366,15 +381,13 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     pos = 0
     while True:
         if pos == len(cells):
-            leaves.append([row[:] for row in t])
+            leaves.append(bytes(chain.from_iterable(t)))
             if len(leaves) >= min(batch, limit - len(results)):
                 check_leaves()
         elif not candidates[pos]:
             stats.prune("empty-cell")
         elif advance(pos):
             pos += 1
-            if pos < len(cells):
-                pending[pos] = iter(candidates[pos])
             continue
         # results grow only at a leaf, so the search stops at the leaf of
         # its limit-th result, the one-point carrier's root included

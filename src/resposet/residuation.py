@@ -59,9 +59,10 @@ class ResiduatedStructure:
         )
 
     def __hash__(self):
-        return hash(
-            (self.poset, self.unit, self.odot.tobytes(), self.arrow.tobytes())
-        )
+        # by value, as __eq__ compares: the same table in another dtype
+        # hashes the same
+        odot, arrow = (table.astype(np.int64, copy=False).tobytes() for table in (self.odot, self.arrow))
+        return hash((self.poset, self.unit, odot, arrow))
 
     @property
     def elements(self):

@@ -1,3 +1,4 @@
+import io
 import random
 import tracemalloc
 from collections import Counter
@@ -11,6 +12,7 @@ from resposet import (
     enumerate_antitone_involutions,
     extend_boolean_theorem5,
     extend_theorem1,
+    extend_theorem2,
     extend_theorem3,
     find_residuations,
     find_residuations_naive,
@@ -21,7 +23,8 @@ from resposet import (
 from resposet.catalog import involuted_posets_up_to_size, posets_of_size
 from resposet.cli import main
 from resposet.constructions import ExtensionMode
-from resposet.errors import CarrierTooLarge, LimitZero, Unbounded
+from resposet.errors import CarrierTooLarge, LimitZero, ModeUnsatisfiable, Unbounded
+from resposet.files import dump, load_structure, structure_to_doc
 from resposet.fixtures import (
     BUILTINS,
     antichain,
@@ -46,8 +49,8 @@ def chain_inv(n):
 def reversed_order(ip):
     """The same involuted poset with its elements listed in reverse.
 
-    On a carrier with a comparable pair the element order is then not a
-    linear extension, and the miner checks monotonicity on whole boxes.
+    When the element order was a linear extension it is now the dual of
+    one, and the miner bounds each cell by the upper covers.
     """
     p = ip.poset
     return involuted(poset_from_covers(reversed(p.elements), p.covers()), ip.involution.mapping)
@@ -258,9 +261,12 @@ class TestRescanOracle:
         assert self.searches_agreeing(bounded_pairs_and_extensions(5)) == 220
 
     def test_same_search_on_reversed_orders(self):
-        # past one point every carrier has 0 < 1, so the reversed element
-        # order is not a linear extension and the miner checks whole boxes
-        assert self.searches_agreeing(map(reversed_order, bounded_pairs_and_extensions(4))) == 94
+        # past one point every reversed order is the dual of a linear
+        # extension and not one itself, so the miner bounds each cell by the
+        # upper covers of its row and column
+        carriers = list(map(reversed_order, bounded_pairs_and_extensions(4)))
+        assert Counter(map(order_kind, carriers)) == {"dual": 36, "extension": 1}
+        assert self.searches_agreeing(carriers) == 94
 
     def test_same_search_on_shuffled_orders(self):
         # each carrier in its own seeded order; all but the carriers of one
@@ -438,15 +444,17 @@ SEARCH_TREES = [
      (161, False, {"nodes": 9184, "prunes": {"associativity": 2889, "monotonicity": 4575}})),
     ("chain11", lambda: chain_inv(11), True, ALL,
      (329, False, {"nodes": 26532, "prunes": {"associativity": 9374, "monotonicity": 12821}})),
-    # element orders that are not linear extensions: the miner checks whole
-    # boxes there, and the order changes the search's size
+    # element orders that are duals of linear extensions: the miner bounds
+    # each cell by the upper covers there, and the order changes the
+    # search's size
     ("kleene6-reversed", lambda: reversed_order(kleene_six_involuted()), True, ALL,
      (4, False, {"nodes": 80, "prunes": {"associativity": 4, "joins": 5, "monotonicity": 9}})),
     ("kleene6-reversed-any-negation", lambda: reversed_order(kleene_six_involuted()), False, ALL,
      (19, False, {"nodes": 408, "prunes": {"associativity": 40, "joins": 35, "monotonicity": 92}})),
     ("chain8-reversed", lambda: reversed_order(chain_inv(8)), True, ALL,
      (31, False, {"nodes": 3588, "prunes": {"associativity": 781, "monotonicity": 1052}})),
-    # an element order that is neither a linear extension nor its dual
+    # an element order that is neither a linear extension nor its dual:
+    # the miner bounds each cell by the whole box of comparable cells
     ("kleene6-shuffled", lambda: shuffled_order(kleene_six_involuted()), True, ALL,
      (4, False, {"nodes": 54, "prunes": {"associativity": 7, "joins": 1, "monotonicity": 10}})),
     ("kleene6-shuffled-any-negation", lambda: shuffled_order(kleene_six_involuted()), False, ALL,
@@ -615,6 +623,44 @@ class TestConstructionOutputsAccepted:
         outcome = find_residuations(involuted(result.poset, result.involution), limit=10**6)
         assert not outcome.truncated
         assert result.structure in outcome.structures
+
+    def test_theorems_1_and_2_on_the_catalog_pairs(self):
+        # every pair of up to 5 points, in every Theorem-1 mode it admits and
+        # by Theorem 2 with n = 2: carriers of up to 9 elements
+        searches = 0
+        for p, inv in involuted_posets_up_to_size(5):
+            ip = involuted(p, inv)
+            results = [extend_theorem2(ip, 2)]
+            for mode in ExtensionMode:
+                try:
+                    results.append(extend_theorem1(ip, mode))
+                except ModeUnsatisfiable:
+                    continue
+            for result in results:
+                outcome = find_residuations(involuted(result.poset, result.involution), limit=ALL)
+                assert not outcome.truncated
+                assert result.structure in outcome.structures
+                searches += 1
+        assert searches == 179
+
+
+class TestMinedStructures:
+    def test_tables_are_read_only_int64_and_survive_a_round_trip(self):
+        # the leaves are stacked as bytes; the structures must not show it
+        searches = 0
+        for _, make, require_negation, limit, _ in SEARCH_TREES:
+            for s in find_residuations(make(), require_negation=require_negation, limit=limit).structures:
+                for table in (s.odot, s.arrow):
+                    assert table.dtype == np.int64
+                    assert not table.flags.writeable
+                buf = io.StringIO()
+                dump(structure_to_doc(s), buf)
+                buf.seek(0)
+                back = load_structure(buf).structure
+                assert back == s
+                assert hash(back) == hash(s)
+            searches += 1
+        assert searches == len(SEARCH_TREES)
 
 
 class TestLimitsAndErrors:

@@ -299,6 +299,16 @@ class TestVerify:
             assert report.check(name).witness == tuple(s.elements[i] for i in first)
 
 
+class TestStructureIdentity:
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_a_copy_in_another_dtype_hashes_equal(self, dtype):
+        s = chain_residuation(5).structure
+        copy = ResiduatedStructure(s.poset, s.unit, s.odot.astype(dtype), s.arrow.astype(dtype))
+        assert copy == s
+        assert hash(copy) == hash(s)
+        assert len({s, copy}) == 1
+
+
 class TestDerivedNegation:
     def test_en5_negation_is_extended_involution(self):
         res = en5()
