@@ -12,9 +12,8 @@ the axioms:
                  assigned cells comparable to it, and each candidate
                  outside the mask is pruned.  When the element order is
                  a linear extension the bound comes from a . j and i . b
-                 for the lower covers a of i and b of j, when it is the
-                 dual of one from the upper covers, and otherwise from
-                 the whole box of comparable assigned cells
+                 for the lower covers a of i and b of j, and otherwise
+                 from the whole box of comparable assigned cells
   negation-zero: when the derived negation must equal the involution,
                  x . y = 0 exactly when x <= y'
   associativity: (a . b) . c = a . (b . c) on every triple whose four
@@ -176,10 +175,9 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     down = [[a for a in range(n) if rows[a][x]] for x in range(n)]
     up = [[a for a in range(n) if rows[x][a]] for x in range(n)]
     # whether the element order is a linear extension (a < b gives index
-    # a < index b: each x ends its down-set) or the dual of one (each x
-    # ends its up-set) is a property of the input, decided once
+    # a < index b: each x ends its down-set) is a property of the input,
+    # decided once
     rising = all(down[x][-1] == x for x in range(n))
-    falling = not rising and all(up[x][-1] == x for x in range(n))
     inv = ip.involution.image
     zero = p.index(p.bounds()[0]) if require_negation else -1
     # x . y is a common lower bound of x and y (integrality) and, when the
@@ -211,21 +209,19 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
                     partners[b].append((a, w))
     touched = [bool(partners[y] or splits[y]) for y in range(n)]
     joined = [touched[i] or touched[j] for i, j in cells]
-    # for the cross: the lower covers of each x when the order is a linear
-    # extension, with the up-set masks, and the upper covers when it is the
-    # dual, with the down-set masks.  Whatever lies strictly between x and
-    # a comes before a in the pass over the strict down-set (up-set) from x
-    # outwards, so a is a cover when its mask holds no cover found so far
+    # the lower covers of each x, for the cross: in a linear extension
+    # whatever lies above a has a larger index, so, from the top of x's
+    # strict down-set down, a is a lower cover when no lower cover found so
+    # far is above it
     full = (1 << n) - 1
-    covers = [[] for _ in range(n)]
-    near, masks = (down, ups) if rising else (up, downs)
-    if rising or falling:
+    lower = [[] for _ in range(n)]
+    if rising:
         for x in range(n):
             found = 0
-            for a in reversed(near[x][:-1]):
-                if not masks[a] & found:
+            for a in reversed(down[x][:-1]):
+                if not ups[a] & found:
                     found |= 1 << a
-                    covers[x].append(a)
+                    lower[x].append(a)
 
     # the table as int rows, -1 where unassigned; preimage[x] lists the
     # assigned cells (a, b) off the unit row, both orientations, with
@@ -245,7 +241,7 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
         assigned, and none after it but on the unit row.
         """
         allowed = full
-        if rising or falling:
+        if rising:
             # When the order is a linear extension (a < b in the order
             # gives index a < index b), then, as i <= j:
             # - every (a, b) != (i, j) with a <= i, b <= j is assigned: a < i
@@ -258,16 +254,12 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
             # The box thus bounds v exactly by a . j <= v for the a < i and
             # i . b <= v for the b < j.  An a < i lies below a lower cover c
             # of i, and a . j <= c . j, so the lower covers of i and j
-            # suffice.  On the dual of a linear extension all this holds
-            # mirrored, index for index: v <= a . j and v <= i . b for the
-            # upper covers a of i and b of j bound v exactly.  There the
-            # unit row holds no a . b with a <= i, b <= j, as the unit is
-            # neither i nor j and so lies below neither.
+            # suffice.
             row_i = t[i]
-            for a in covers[i]:
-                allowed &= masks[t[a][j]]
-            for b in covers[j]:
-                allowed &= masks[row_i[b]]
+            for a in lower[i]:
+                allowed &= ups[t[a][j]]
+            for b in lower[j]:
+                allowed &= ups[row_i[b]]
             return allowed
         down_j, up_j = down[j], up[j]
         for a in down[i]:

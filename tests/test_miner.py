@@ -49,8 +49,9 @@ def chain_inv(n):
 def reversed_order(ip):
     """The same involuted poset with its elements listed in reverse.
 
-    When the element order was a linear extension it is now the dual of
-    one, and the miner bounds each cell by the upper covers.
+    On a carrier with a comparable pair the element order is then not a
+    linear extension, and the miner bounds each cell by the whole box of
+    comparable assigned cells.
     """
     p = ip.poset
     return involuted(poset_from_covers(reversed(p.elements), p.covers()), ip.involution.mapping)
@@ -263,7 +264,7 @@ class TestRescanOracle:
     def test_same_search_on_reversed_orders(self):
         # past one point every reversed order is the dual of a linear
         # extension and not one itself, so the miner bounds each cell by the
-        # upper covers of its row and column
+        # whole box of comparable assigned cells
         carriers = list(map(reversed_order, bounded_pairs_and_extensions(4)))
         assert Counter(map(order_kind, carriers)) == {"dual": 36, "extension": 1}
         assert self.searches_agreeing(carriers) == 94
@@ -445,8 +446,8 @@ SEARCH_TREES = [
     ("chain11", lambda: chain_inv(11), True, ALL,
      (329, False, {"nodes": 26532, "prunes": {"associativity": 9374, "monotonicity": 12821}})),
     # element orders that are duals of linear extensions: the miner bounds
-    # each cell by the upper covers there, and the order changes the
-    # search's size
+    # each cell by the whole box of comparable cells there, and the order
+    # changes the search's size
     ("kleene6-reversed", lambda: reversed_order(kleene_six_involuted()), True, ALL,
      (4, False, {"nodes": 80, "prunes": {"associativity": 4, "joins": 5, "monotonicity": 9}})),
     ("kleene6-reversed-any-negation", lambda: reversed_order(kleene_six_involuted()), False, ALL,
