@@ -72,19 +72,20 @@ def pseudo_kleene_nine_involuted():
     )
 
 
-def chain(n: int, prefix="e") -> Poset:
+def chain(n: int) -> Poset:
     """Chain e1 < e2 < ... < en."""
-    return chain_poset([f"{prefix}{i}" for i in range(1, n + 1)])
+    return chain_poset([f"e{i}" for i in range(1, n + 1)])
 
 
-def chain_involuted(n: int, prefix="e"):
-    labels = [f"{prefix}{i}" for i in range(1, n + 1)]
+def chain_involuted(n: int):
+    labels = [f"e{i}" for i in range(1, n + 1)]
     mapping = {labels[i]: labels[n - 1 - i] for i in range(n)}
     return involuted(chain_poset(labels), mapping)
 
 
-def antichain(n: int, prefix="u") -> Poset:
-    return poset_from_covers([f"{prefix}{i}" for i in range(1, n + 1)], [])
+def antichain(n: int) -> Poset:
+    """Antichain u1, u2, ..., un."""
+    return poset_from_covers([f"u{i}" for i in range(1, n + 1)], [])
 
 
 def powerset_lattice(num_atoms: int) -> Poset:

@@ -45,13 +45,13 @@ counts each table it rejects under its prune rule.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain, compress, product
 
 import numpy as np
 
 from .errors import CarrierTooLarge, LimitZero, Unbounded
 from .involution import InvolutedPoset
-from .residuation import SLAB_CELLS, ResiduatedStructure, _residuals
+from .residuation import SLAB_CELLS, ResiduatedStructure, _associativity_cube, _residuals
 
 # The most carrier elements the miner searches.  Its set-up holds up to
 # n^3 candidates in per-cell lists: about 3.2 MB at 100 elements, gigabytes
@@ -88,9 +88,9 @@ def _leaf_check(ip: InvolutedPoset, unit, require_negation):
     commutativity, the unit law or associativity fails; negation-mismatch,
     with require_negation, x -> 0 is not the involution.  The arrows come
     from _residuals' down-set test, a <= j -> k iff a . j <= k, which is
-    adjointness itself.  Once the table is commutative, x . (y . z) is
-    (y . z) . x, so one cube of (x . y) . z against its own transpose
-    decides associativity.
+    adjointness itself.  Associativity is verify_residuated's
+    _associativity_cube over the rows of the whole stack, which decides
+    it once the table is commutative.
     """
     p = ip.poset
     leq = p.leq_matrix
@@ -107,13 +107,12 @@ def _leaf_check(ip: InvolutedPoset, unit, require_negation):
         arrows = _residuals(leq, tables)
         ok = unit_greatest & (tables == tables.transpose(0, 2, 1)).all(axis=(1, 2))  # commutativity
         ok &= (tables[:, u] == identity).all(axis=1)  # unit law
-        # [i, x, y, z]: (x . y) . z, table i's row x . y gathered for each
-        # (x, y) from the rows of all t tables, in the smallest index dtype;
-        # freed before the structures copy their tables, as int64 whatever
-        # the stack's dtype
-        left = tables.astype(small).reshape(t * n, n)[tables + (n * np.arange(t))[:, None, None]]
-        ok &= (left == left.transpose(0, 3, 1, 2)).all(axis=(1, 2, 3))  # vs (y . z) . x
-        del left
+        # [i, y, x, z]: table i's row y . x, for each (y, x), from the rows
+        # of all t tables in the smallest index dtype; freed before the
+        # structures copy their tables, as int64 whatever the stack's dtype
+        ok &= ~_associativity_cube(
+            tables.astype(small).reshape(t * n, n), tables + (n * np.arange(t))[:, None, None]
+        ).any(axis=(1, 2, 3))
         missing = (arrows < 0).any(axis=(1, 2))
         mismatch = (arrows[:, :, bottom] != image).any(axis=1) if require_negation else np.zeros(t, bool)
         return [
@@ -171,9 +170,9 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     u = p.index(top)
     stats = MinerStats()
 
-    rows = p.leq_matrix.tolist()
-    down = [[a for a in range(n) if rows[a][x]] for x in range(n)]
-    up = [[a for a in range(n) if rows[x][a]] for x in range(n)]
+    rows, columns = p.leq_matrix.tolist(), p.leq_matrix.T.tolist()
+    down = [list(compress(range(n), column)) for column in columns]
+    up = [list(compress(range(n), row)) for row in rows]
     # whether the element order is a linear extension (a < b gives index
     # a < index b: each x ends its down-set) is a property of the input,
     # decided once
@@ -195,8 +194,9 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     # index, so when x . y is the new cell (i, j) or its mirror, the cell
     # of x . (y v z) comes later in row-major order and is unassigned,
     # unless y v z is the unit; partners then keeps only the unit's
-    ups = [sum(1 << a for a in up[x]) for x in range(n)]
-    downs = [sum(1 << a for a in down[x]) for x in range(n)]
+    bits = [1 << a for a in range(n)]
+    ups = [sum(compress(bits, row)) for row in rows]
+    downs = [sum(compress(bits, column)) for column in columns]
     join_of = {mask: x for x, mask in enumerate(ups)}
     partners = [[] for _ in range(n)]
     splits = [[] for _ in range(n)]

@@ -29,7 +29,7 @@ def _one_table(symbol, elements, table):
 
     lines = [fmt_row(symbol, map(str.ljust, elements, widths))]
     lines.append("-" * first + "-+-" + "-" * (sum(widths) + len(widths) - 1))
-    lines.extend(fmt_row(x, padded[base + row].tolist()) for x, row in zip(elements, table))
+    lines.extend(map(fmt_row, elements, padded[base + table].tolist()))
     return "\n".join(lines)
 
 

@@ -3,14 +3,16 @@
 A ResiduatedStructure stores both operation tables as dense integer
 matrices over the poset's element indices; verification is exhaustive
 over all pairs/triples, vectorized with numpy so even the soundness
-corpus stays fast.  The triple checks run as [x, y, z] cubes built in
-x-slabs of SLAB_CELLS cells.  Below GALOIS_FROM elements both
-associativity and adjointness are cubes.  From there on, adjointness is
-the Galois test on covers, O(n |covers| + n^2), with the cube kept to
-find the first witness of a failure.  Past one slab (about 100
-elements) associativity builds half its cube once commutativity holds.
-_residuals derives the arrow of a table by the down-set test, which is
-adjointness itself; the miner's leaves take both from it.
+corpus stays fast.  The triple checks run as cubes built in slabs of
+SLAB_CELLS cells.  Below GALOIS_FROM elements adjointness is an
+[x, y, z] cube; from there on it is the Galois test on covers,
+O(n |covers| + n^2), with the cube kept to find the first witness of a
+failure.  Once commutativity holds, associativity is the [y, x, z]
+cube of (y . x) . z, gathered as whole rows and compared with its own
+transpose (_associativity_cube), in y-slabs; otherwise it is the
+[x, y, z] cube of both sides, in x-slabs.  _residuals derives the arrow
+of a table by the down-set test, which is adjointness itself; the
+miner's leaves take both it and _associativity_cube.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from .involution import _antitone
 from .order import Poset
 from .report import VerificationReport, failed, passed, verdict
 
-# cells per x-slab of a triple check; carriers up to ~100 elements take one
+# cells per slab of a triple check; carriers up to ~100 elements take one
 # slab.
 SLAB_CELLS = 1 << 20
 # the carrier size from which verify_residuated checks adjointness by the
@@ -114,12 +116,13 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
     unit-law, adjointness.  A failed check carries the first violating
     tuple in element order.
 
-    Associativity is an [x, y, z] cube built one slab at a time.  Below
-    GALOIS_FROM elements adjointness is a cube too.  From there on, the
-    Galois test on covers (_galois) decides adjointness, and the
-    adjointness cube is built only when that test fails, to find the
-    first witness; once commutativity holds, each associativity slab
-    skips the columns z below its first row.
+    Once commutativity holds, associativity is _associativity_cube over
+    y-slabs of SLAB_CELLS cells, with the least failing (x, y, z) of all
+    slabs as its witness.  Otherwise it is an [x, y, z] cube of both
+    sides, built one x-slab at a time.  Below GALOIS_FROM elements
+    adjointness is an x-slabbed cube too.  From there on, the Galois
+    test on covers (_galois) decides adjointness, and the adjointness
+    cube is built only when that test fails, to find the first witness.
     """
     p = s.poset
     leq = p.leq_matrix
@@ -127,55 +130,72 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
     els = p.elements
     n = len(p)
     u = p.index(s.unit)
-    # the triple checks take xs, a slice of x rows, and zs, a slice of z
-    # columns, and give [x, y, z] cubes
+    # the triple checks take xs, a slice of x rows, and give [x, y, z] cubes
     if n >= GALOIS_FROM and _galois(s):
         adjointness = passed("adjointness")
     else:
         # x . y <= z  vs  x <= y -> z
-        adjointness = _slabbed(
-            "adjointness", lambda xs, zs: leq[O[xs], zs] != leq[xs][:, A[:, zs]], els
-        )
+        adjointness = _slabbed("adjointness", lambda xs: leq[O[xs], :] != leq[xs][:, A], els)
     commutativity = verdict("commutativity", O != O.T, els)
     # the associativity cube is gathered from O's values; in the smallest
     # dtype that holds an index (one byte up to 256 elements) it moves a
     # fraction of the int64 bytes.  It is made after the adjointness check,
     # so that check's chunks never share the memory with it.
     small = O.astype(np.min_scalar_type(n - 1))
+    if commutativity.passed:
+        # each y-slab's first failing (x, y, z); a later slab can hold a
+        # smaller x, so every slab is scanned and the least one wins
+        rows = max(1, SLAB_CELLS // (n * n))
+        firsts = []
+        for start in range(0, n, rows):
+            bad = _associativity_cube(small, small[start:start + rows]).transpose(1, 0, 2)
+            if bad.any():
+                x, y, z = np.argwhere(bad)[0]
+                firsts.append((x, start + y, z))
+        associativity = (
+            failed("associativity", [els[i] for i in min(firsts)]) if firsts else passed("associativity")
+        )
+    else:
+        # (x . y) . z  vs  x . (y . z)
+        associativity = _slabbed(
+            "associativity", lambda xs: small[O[xs], :] != small[xs][:, O], els
+        )
     return VerificationReport(
         (
             verdict("unit-greatest", ~leq[:, u], els),
             commutativity,
-            # (x . y) . z  vs  x . (y . z); when O is commutative, (x, y, z)
-            # fails iff (z, y, x) does, so the first failure has x <= z
-            _slabbed(
-                "associativity",
-                lambda xs, zs: small[O[xs], zs] != small[xs][:, O[:, zs]],
-                els,
-                z_from_x=commutativity.passed,
-            ),
+            associativity,
             verdict("unit-law", O[u, :] != np.arange(n), els),
             adjointness,
         )
     )
 
 
-def _slabbed(name, bad_rows, els, z_from_x=False):
+def _associativity_cube(rows, index):
+    """[..., y, x, z]: (y . x) . z differs from (y . z) . x, for a commutative table.
+
+    index[..., y, x] is the number of the row of rows that holds
+    (y . x) . z at z; the cube gathers those whole rows.  When the table
+    is commutative, (y . z) . x is x . (y . z), so a cell fails exactly
+    where (x . y) . z differs from x . (y . z).
+    """
+    cube = np.take(rows, index, axis=0)
+    return cube != cube.swapaxes(-1, -2)
+
+
+def _slabbed(name, bad_rows, els):
     """verdict over an [x, y, z] cube built SLAB_CELLS cells at a time, in x order.
 
     Stops at the first slab with a violation; its first cell, shifted by
-    the slab start, is the first violation of the whole cube.  With
-    z_from_x the slab that starts at row s takes only the columns z >= s,
-    which holds the first violation when it has x <= z.
+    the slab start, is the first violation of the whole cube.
     """
     n = len(els)
     rows = max(1, SLAB_CELLS // (n * n))
     for start in range(0, n, rows):
-        z0 = start if z_from_x else 0
-        bad = bad_rows(slice(start, start + rows), slice(z0, n))
+        bad = bad_rows(slice(start, start + rows))
         if bad.any():
             x, y, z = np.argwhere(bad)[0]
-            return failed(name, (els[start + x], els[y], els[z0 + z]))
+            return failed(name, (els[start + x], els[y], els[z]))
     return passed(name)
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from resposet import (
     ExtensionMode,
@@ -22,6 +23,7 @@ from resposet import (
 from resposet.errors import NoBottom, UnknownLabel
 from resposet.fixtures import (
     antichain,
+    chain,
     chain_involuted,
     cube_boolean,
     kleene_six,
@@ -297,6 +299,45 @@ class TestVerify:
             first = np.argwhere(cube)[0]
             assert first[0] >= SLAB_CELLS // n**2  # past the first slab
             assert report.check(name).witness == tuple(s.elements[i] for i in first)
+
+
+@st.composite
+def commutative_structures(draw):
+    """A chain or an antichain on 2-7 elements, a random commutative odot table and a random arrow table."""
+    n = draw(st.integers(2, 7))
+    p = draw(st.sampled_from([chain, antichain]))(n)
+    index = st.integers(0, n - 1)
+    O = np.zeros((n, n), dtype=np.int64)
+    upper = np.triu_indices(n)
+    O[upper] = O.T[upper] = draw(st.lists(index, min_size=len(upper[0]), max_size=len(upper[0])))
+    A = np.array(draw(st.lists(st.lists(index, min_size=n, max_size=n), min_size=n, max_size=n)))
+    return ResiduatedStructure(p, draw(st.sampled_from(p.elements)), O, A)
+
+
+class TestCommutativeAssociativity:
+    """A commutative odot's associativity is checked in y-slabs of (y . x) . z rows."""
+
+    def test_least_witness_lies_in_a_later_y_slab(self):
+        # seed 1 breaks associativity in the first y-slab, while the least
+        # failing (x, y, z) has its y in the fourth slab
+        s = chain_residuation(150, verify=False).structure
+        n = len(s.elements)
+        rows = SLAB_CELLS // n**2
+        assert n > 3 * rows  # four y-slabs
+        bad = mutate(s, random.Random(1), "odot-symmetric")
+        O = bad.odot
+        assert (O == O.T).all()
+        cube = O[O, :] != O[:, O]  # [x, y, z]
+        assert cube[:, :rows].any()
+        report = verify_residuated(bad)
+        assert str(report) == str(verify_residuated_cubes(bad))
+        witness = tuple(map(s.poset.index, report.check("associativity").witness))
+        assert witness == (34, 145, 133)
+        assert witness[1] // rows == 3
+
+    @given(commutative_structures())
+    def test_small_commutative_tables_match_the_cubes(self, s):
+        assert str(verify_residuated(s)) == str(verify_residuated_cubes(s))
 
 
 class TestStructureIdentity:
