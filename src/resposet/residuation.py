@@ -157,9 +157,7 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
         )
     else:
         # (x . y) . z  vs  x . (y . z)
-        associativity = _slabbed(
-            "associativity", lambda xs: small[O[xs], :] != small[xs][:, O], els
-        )
+        associativity = _slabbed("associativity", lambda xs: small[O[xs], :] != small[xs][:, O], els)
     return VerificationReport(
         (
             verdict("unit-greatest", ~leq[:, u], els),
