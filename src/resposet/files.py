@@ -71,8 +71,16 @@ def _string(x, *segments):
     return x
 
 
+def _utf8(text, *segments):
+    """Raise unless text encodes as UTF-8: json reads a lone surrogate, which no UTF-8 output holds."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaViolation("a lone surrogate cannot be written as UTF-8", _pointer(*segments)) from None
+
+
 def _check_label(x, *segments):
-    _string(x, *segments)
+    _utf8(_string(x, *segments), *segments)
     if x.startswith("#") and not _GENERATED.fullmatch(x):
         raise ReservedLabel(
             f"label {x!r}: the '#' prefix is reserved for generated chain elements"
@@ -125,6 +133,7 @@ def parse_structure(doc) -> Bundle:
     provenance = doc.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
         raise SchemaViolation("provenance must be an object", "/provenance")
+    _utf8(json.dumps(provenance, ensure_ascii=False), "provenance")
     return Bundle(poset, ip, structure, provenance)
 
 

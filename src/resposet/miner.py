@@ -40,8 +40,8 @@ limit-th result.
 
 A naive oracle (no pruning beyond commutativity and the forced unit
 row) is provided for small carriers to certify the pruned search.  It
-checks its tables with the same stacked check, a slab at a time, and
-counts each table it rejects under its prune rule.
+checks all its tables as one stack with the same leaf check, and counts
+each table it rejects under its prune rule.
 """
 
 from dataclasses import dataclass, field
@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import CarrierTooLarge, LimitZero, Unbounded
 from .involution import InvolutedPoset
-from .residuation import SLAB_CELLS, ResiduatedStructure, _associativity_cube, _residuals
+from .residuation import SLAB_CELLS, ResiduatedStructure, _associative, _residuals
 
 # The most carrier elements the miner searches.  Its set-up holds up to
 # n^3 candidates in per-cell lists: about 3.2 MB at 100 elements, gigabytes
@@ -61,8 +61,8 @@ from .residuation import SLAB_CELLS, ResiduatedStructure, _associativity_cube, _
 # the first structure of the 100-chain peaks at about 6.6 MB (the tests hold
 # it under 7 MB) and the full enumeration of the 12-chain at about 4.1 MB.
 MAX_CARRIER = 100
-# The most carrier elements the naive oracle searches: it tries all
-# n^(n(n-1)/2) tables, 4,096 at 4 elements and 9,765,625 at 5.
+# The most carrier elements the naive oracle searches, as one stack of all
+# n^(n(n-1)/2) tables: 4,096 at 4 elements, a quarter slab, 9,765,625 at 5.
 NAIVE_MAX = 4
 
 
@@ -88,9 +88,9 @@ def _leaf_check(ip: InvolutedPoset, unit, require_negation):
     commutativity, the unit law or associativity fails; negation-mismatch,
     with require_negation, x -> 0 is not the involution.  The arrows come
     from _residuals' down-set test, a <= j -> k iff a . j <= k, which is
-    adjointness itself.  Associativity is verify_residuated's
-    _associativity_cube over the rows of the whole stack, which decides
-    it once the table is commutative.
+    adjointness itself.  Associativity is verify_residuated's verdict,
+    _associative, over the rows of the whole stack; it decides a table
+    once that table is commutative, and the stack fits one of its slabs.
     """
     p = ip.poset
     leq = p.leq_matrix
@@ -107,12 +107,9 @@ def _leaf_check(ip: InvolutedPoset, unit, require_negation):
         arrows = _residuals(leq, tables)
         ok = unit_greatest & (tables == tables.transpose(0, 2, 1)).all(axis=(1, 2))  # commutativity
         ok &= (tables[:, u] == identity).all(axis=1)  # unit law
-        # [i, y, x, z]: table i's row y . x, for each (y, x), from the rows
-        # of all t tables in the smallest index dtype; freed before the
-        # structures copy their tables, as int64 whatever the stack's dtype
-        ok &= ~_associativity_cube(
-            tables.astype(small).reshape(t * n, n), tables + (n * np.arange(t))[:, None, None]
-        ).any(axis=(1, 2, 3))
+        # table i's row y . x is row i n + y . x of all t tables' rows, in the
+        # smallest index dtype; the row numbers stay int64, as bytes overflow
+        ok &= _associative(tables.astype(small).reshape(t * n, n), tables + (n * np.arange(t))[:, None, None])
         missing = (arrows < 0).any(axis=(1, 2))
         mismatch = (arrows[:, :, bottom] != image).any(axis=1) if require_negation else np.zeros(t, bool)
         return [
@@ -410,20 +407,17 @@ def find_residuations_naive(ip: InvolutedPoset, require_negation=True, limit=10*
     rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
     verdicts = _leaf_check(ip, top, require_negation)
     values = np.array(list(product(range(n), repeat=len(cells))), dtype=np.int64)
-    batch = max(1, SLAB_CELLS // n**3)
+    tables = np.empty((len(values), n, n), dtype=np.int64)
+    tables[:, u, :] = tables[:, :, u] = np.arange(n)
+    tables[:, rows, cols] = tables[:, cols, rows] = values
     stats = MinerStats()
     results = []
-    for start in range(0, len(values), batch):
-        chunk = values[start:start + batch]
-        tables = np.empty((len(chunk), n, n), dtype=np.int64)
-        tables[:, u, :] = tables[:, :, u] = np.arange(n)
-        tables[:, rows, cols] = tables[:, cols, rows] = chunk
-        for index, s in enumerate(verdicts(tables), start):
-            stats.nodes = index + 1
-            if isinstance(s, str):
-                stats.prune(s)
-                continue
-            results.append(s)
-            if len(results) >= limit:
-                return MinerOutcome(True, results, stats, truncated=True)
+    for nodes, s in enumerate(verdicts(tables), 1):
+        stats.nodes = nodes
+        if isinstance(s, str):
+            stats.prune(s)
+            continue
+        results.append(s)
+        if len(results) >= limit:
+            return MinerOutcome(True, results, stats, truncated=True)
     return MinerOutcome(bool(results), results, stats)

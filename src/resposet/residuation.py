@@ -3,16 +3,15 @@
 A ResiduatedStructure stores both operation tables as dense integer
 matrices over the poset's element indices; verification is exhaustive
 over all pairs/triples, vectorized with numpy so even the soundness
-corpus stays fast.  The triple checks run as cubes built in slabs of
-SLAB_CELLS cells.  Below GALOIS_FROM elements adjointness is an
-[x, y, z] cube; from there on it is the Galois test on covers,
-O(n |covers| + n^2), with the cube kept to find the first witness of a
-failure.  Once commutativity holds, associativity is the [y, x, z]
-cube of (y . x) . z, gathered as whole rows and compared with its own
-transpose (_associativity_cube), in y-slabs; otherwise it is the
-[x, y, z] cube of both sides, in x-slabs.  _residuals derives the arrow
-of a table by the down-set test, which is adjointness itself; the
-miner's leaves take both it and _associativity_cube.
+corpus stays fast.  A triple check is decided by a fast verdict where
+one applies: from GALOIS_FROM elements adjointness is the Galois test
+on covers (_galois), O(n |covers| + n^2), and once commutativity holds
+associativity is _associative, the [y, x, z] cube of (y . x) . z
+gathered as whole rows and compared with its own transpose.  Otherwise,
+and to find the first witness of a failure, the check is the [x, y, z]
+cube of _slabbed, built SLAB_CELLS cells at a time in x order.
+_residuals derives the arrow of a table by the down-set test, which is
+adjointness itself; the miner's leaves take both it and _associative.
 """
 
 import itertools
@@ -116,13 +115,11 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
     unit-law, adjointness.  A failed check carries the first violating
     tuple in element order.
 
-    Once commutativity holds, associativity is _associativity_cube over
-    y-slabs of SLAB_CELLS cells, with the least failing (x, y, z) of all
-    slabs as its witness.  Otherwise it is an [x, y, z] cube of both
-    sides, built one x-slab at a time.  Below GALOIS_FROM elements
-    adjointness is an x-slabbed cube too.  From there on, the Galois
-    test on covers (_galois) decides adjointness, and the adjointness
-    cube is built only when that test fails, to find the first witness.
+    Each triple check passes on its fast verdict: from GALOIS_FROM
+    elements the Galois test on covers (_galois) for adjointness, and
+    _associative for associativity once commutativity holds.  Where
+    there is none, or it fails, _slabbed decides and finds the first
+    witness; it is the only witness search.
     """
     p = s.poset
     leq = p.leq_matrix
@@ -137,27 +134,17 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
         # x . y <= z  vs  x <= y -> z
         adjointness = _slabbed("adjointness", lambda xs: leq[O[xs], :] != leq[xs][:, A], els)
     commutativity = verdict("commutativity", O != O.T, els)
-    # the associativity cube is gathered from O's values; in the smallest
-    # dtype that holds an index (one byte up to 256 elements) it moves a
-    # fraction of the int64 bytes.  It is made after the adjointness check,
-    # so that check's chunks never share the memory with it.
+    # the associativity cubes gather O's values in the smallest dtype that
+    # holds an index (one byte up to 256 elements), a fraction of the int64
+    # bytes; they come after the adjointness check, never sharing its memory
     small = O.astype(np.min_scalar_type(n - 1))
-    if commutativity.passed:
-        # each y-slab's first failing (x, y, z); a later slab can hold a
-        # smaller x, so every slab is scanned and the least one wins
-        rows = max(1, SLAB_CELLS // (n * n))
-        firsts = []
-        for start in range(0, n, rows):
-            bad = _associativity_cube(small, small[start:start + rows]).transpose(1, 0, 2)
-            if bad.any():
-                x, y, z = np.argwhere(bad)[0]
-                firsts.append((x, start + y, z))
-        associativity = (
-            failed("associativity", [els[i] for i in min(firsts)]) if firsts else passed("associativity")
-        )
+    if commutativity.passed and _associative(small, small):
+        associativity = passed("associativity")
     else:
         # (x . y) . z  vs  x . (y . z)
-        associativity = _slabbed("associativity", lambda xs: small[O[xs], :] != small[xs][:, O], els)
+        associativity = _slabbed(
+            "associativity", lambda xs: np.take(small, small[xs], axis=0) != np.take(small[xs], small, axis=1), els
+        )
     return VerificationReport(
         (
             verdict("unit-greatest", ~leq[:, u], els),
@@ -169,23 +156,32 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
     )
 
 
-def _associativity_cube(rows, index):
-    """[..., y, x, z]: (y . x) . z differs from (y . z) . x, for a commutative table.
+def _associative(rows, index):
+    """Whether a commutative table is associative: one bool, or one per table of a stack.
 
     index[..., y, x] is the number of the row of rows that holds
-    (y . x) . z at z; the cube gathers those whole rows.  When the table
-    is commutative, (y . z) . x is x . (y . z), so a cell fails exactly
-    where (x . y) . z differs from x . (y . z).
+    (y . x) . z at z.  The [..., y, x, z] cube gathers those whole rows,
+    in y-slabs of SLAB_CELLS cells, and compares each with its own
+    transpose: as the table is commutative, (y . z) . x is x . (y . z),
+    so a cell fails exactly where (x . y) . z differs from x . (y . z).
     """
-    cube = np.take(rows, index, axis=0)
-    return cube != cube.swapaxes(-1, -2)
+    ok = np.True_  # one bool; a stack's first slab makes it one per table
+    step = max(1, SLAB_CELLS // index.size)
+    for start in range(0, index.shape[-2], step):
+        # the last slab's cube is freed only once this one exists: freeing it
+        # first took a 200-element table 4.0 -> 7.4 ms, an allocator effect
+        cube = np.take(rows, index[..., start:start + step, :], axis=0)
+        ok &= (cube == cube.swapaxes(-1, -2)).all(axis=(-3, -2, -1))
+        if not ok.any():
+            break
+    return ok
 
 
 def _slabbed(name, bad_rows, els):
     """verdict over an [x, y, z] cube built SLAB_CELLS cells at a time, in x order.
 
     Stops at the first slab with a violation; its first cell, shifted by
-    the slab start, is the first violation of the whole cube.
+    the slab start, is the least failing (x, y, z) of the whole cube.
     """
     n = len(els)
     rows = max(1, SLAB_CELLS // (n * n))

@@ -28,7 +28,7 @@ from resposet.files import (
     structure_to_doc,
     to_doc,
 )
-from resposet.fixtures import n5, n5_involuted
+from resposet.fixtures import BUILTINS, n5, n5_involuted
 from resposet.residuation import ResiduatedStructure
 
 N5_DOC = {
@@ -153,6 +153,9 @@ class TestSchema:
                        "x~y": {"x~y": "x~y", "a/b": "x~y"}}}, "/odot/a~1b"),
             ({"odot": {"a/b": {"x~y": "a/b", "a/b": "a/b"},
                        "x~y": {"x~y": "x~y", "a/b": "x~y", "z": "z"}}}, "/odot/x~0y"),
+            ({"unit": "z"}, "/unit"),
+            ({"provenance": []}, "/provenance"),
+            ({"odot": {"x~y": {"a/b": "x~y", "x~y": "x~y"}}}, "/odot"),  # no row a/b
         ],
     )
     def test_pointer_escapes_labels(self, change, pointer):
@@ -239,6 +242,12 @@ class TestCli:
         assert code == 0
         assert "overall: PASS" in captured.out
 
+    def test_verify_reads_stdin(self, monkeypatch, capsys):
+        doc = structure_to_doc(chain_residuation(4).structure)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert main(["verify", "-i", "-"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
     def test_verify_bad_structure(self, tmp_path, capsys):
         doc = structure_to_doc(chain_residuation(4).structure)
         doc["odot"]["#c2"]["#c3"] = "#c4"  # break integrality and more
@@ -284,6 +293,13 @@ class TestCli:
         assert out.startswith("satisfiable: 1 structure(s) found")
         stats = json.loads(out[out.index('{\n  "nodes"'):])
         assert stats["prunes"]["joins"] > 0
+
+    def test_unknown_builtin_lists_the_builtins(self, capsys):
+        assert main(["mine", "-i", "builtin:nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown builtin 'nope'; available: ")
+        assert err.count("\n") == 1
+        assert all(name in err for name in BUILTINS)
 
     def test_mine_naive_guard(self, capsys):
         code = main(["mine", "-i", "builtin:n5", "--naive"])
@@ -456,6 +472,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot decode the document: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc, pointer",
+        [
+            ({"elements": ["a\ud800", "b"], "covers": [["a\ud800", "b"]]}, "/elements/0"),
+            ({"elements": ["a", "b"], "covers": [["a", "b"]], "provenance": {"k": "x\udc80"}}, "/provenance"),
+        ],
+        ids=["high-surrogate-label", "low-surrogate-provenance"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["show", "--format", "json"], ["involutions"], ["extend", "thm3", "--n", "2", "-o", "out.json"]],
+        ids=["show", "involutions", "extend-output"],
+    )
+    def test_lone_surrogate_is_schema_error(self, tmp_path, monkeypatch, capsys, doc, pointer, argv):
+        # json reads the escape of a lone surrogate, which no UTF-8 output can hold
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        assert main([*argv, "-i", "doc.json"]) == 2
+        assert capsys.readouterr().err == f"error: {pointer}: a lone surrogate cannot be written as UTF-8\n"
+        assert not (tmp_path / "out.json").exists()
 
     def test_error_with_a_line_break_stays_one_line(self, tmp_path, capsys):
         path = tmp_path / "doc.json"

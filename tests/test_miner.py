@@ -64,6 +64,23 @@ def shuffled_order(ip, seed=0):
     return involuted(poset_from_covers(elements, p.covers()), ip.involution.mapping)
 
 
+def stacked_antichains():
+    """0 < e1 < {e2, e3} < {e4, e5} < e6 < 1, in that element order.
+
+    The involution swaps 0 and 1, e1 and e6, e2 and e4, e3 and e5.  Not a
+    lattice: e2 and e3 have two minimal upper bounds.  So the join
+    rule leaves some tables without a residual, and without negation the
+    leaf check rejects them (residual-missing).
+    """
+    q = poset_from_covers(
+        ["e1", "e2", "e3", "e4", "e5", "e6"],
+        [("e1", "e2"), ("e1", "e3"), ("e2", "e4"), ("e2", "e5"),
+         ("e3", "e4"), ("e3", "e5"), ("e4", "e6"), ("e5", "e6")],
+    )
+    inv = involuted(q, {"e1": "e6", "e2": "e4", "e3": "e5", "e4": "e2", "e5": "e3", "e6": "e1"})
+    return bounded_sum(q, inv.involution)
+
+
 def order_kind(ip):
     """Whether the element order is a linear extension, the dual of one, or neither (None)."""
     leq = ip.poset.leq_matrix
@@ -244,11 +261,15 @@ def bounded_pairs_and_extensions(max_size):
 
 class TestRescanOracle:
     @staticmethod
-    def searches_agreeing(carriers):
-        """The number of searches on the carriers, once each is checked equal to the full rescan's."""
+    def searches_agreeing(carriers, any_negation_to=6):
+        """The number of searches on the carriers, once each is checked equal to the full rescan's.
+
+        Carriers of up to any_negation_to elements are searched without
+        negation too.
+        """
         searches = 0
         for ip in carriers:
-            for require_negation in (True, False) if len(ip.poset) <= 6 else (True,):
+            for require_negation in (True, False) if len(ip.poset) <= any_negation_to else (True,):
                 for limit in (1, 10**6):
                     fast = find_residuations(ip, require_negation=require_negation, limit=limit)
                     slow = find_residuations_rescan(ip, require_negation=require_negation, limit=limit)
@@ -276,6 +297,9 @@ class TestRescanOracle:
         carriers = [shuffled_order(ip, seed) for seed, ip in enumerate(bounded_pairs_and_extensions(4))]
         assert Counter(map(order_kind, carriers)) == {None: 35, "extension": 2}
         assert self.searches_agreeing(carriers) == 94
+
+    def test_same_search_with_rejected_leaves(self):
+        assert self.searches_agreeing([stacked_antichains()], any_negation_to=8) == 4
 
     def test_same_structures_as_the_rescan_without_joins(self):
         # the join rule is sound: it cuts only tables that no structure
@@ -462,6 +486,10 @@ SEARCH_TREES = [
      (19, False, {"nodes": 298, "prunes": {"associativity": 40, "joins": 31, "monotonicity": 91}})),
     ("chain8-shuffled", lambda: shuffled_order(chain_inv(8)), True, ALL,
      (31, False, {"nodes": 2029, "prunes": {"associativity": 277, "monotonicity": 508}})),
+    # not a lattice: leaves without a residual reach the leaf check
+    ("stacked-antichains-any-negation", stacked_antichains, False, ALL,
+     (113, False, {"nodes": 10363, "prunes": {"associativity": 2178, "joins": 326, "monotonicity": 5250,
+                                              "residual-missing": 174}})),
 ]
 
 

@@ -194,8 +194,9 @@ class TestVerify:
         ids=["cor1-130", "thm3-38-40"],
     )
     def test_mutations_past_one_slab_match_the_cubes(self, carrier):
-        # past one slab, adjointness is the Galois test and associativity
-        # half a cube; the whole report, first witnesses included, is the cubes'
+        # past one slab, adjointness is the Galois test and a commutative
+        # table's associativity the row cube; a failure's witness comes from
+        # the x-slabbed cube, and the whole report, witnesses included, is the cubes'
         s = carrier()
         n = len(s.elements)
         assert n**3 > SLAB_CELLS
