@@ -79,7 +79,7 @@ def _carrier(construction, p: Poset, involution, gaps):
 
     # every block lies below each later one and chain blocks are chains, so the
     # ordinal sum is the upper triangle with p written into its diagonal blocks
-    leq = np.triu(np.ones((size, size), dtype=bool))
+    leq = ~np.tri(size, k=-1, dtype=bool)
     elements = [f"#c{i}" for i in gaps[0]]
     for (labels, block), gap in zip(copies, gaps[1:]):
         start = len(elements)

@@ -70,23 +70,34 @@ def check_antitone_involution(p: Poset, f) -> VerificationReport:
 
     ``f`` may be an Involution on p's elements or a plain mapping.  Each axiom
     becomes one named check; the first violating tuple in element order is the witness.
+    The report is kept on the poset object, keyed by the image, so checking the
+    same map on the same object again returns the same report without evaluating
+    the axioms; an equal but distinct Poset is checked anew.
     """
     if not isinstance(f, Involution):
         f = involution_from_mapping(p, f)
+    reports = p._involution_reports
+    if f.elements == p.elements and f.image in reports:
+        return reports[f.image]
     image, n = np.array(f.image, dtype=np.int64), len(p)
     if f.elements != p.elements or image.shape != (n,) or ((image < 0) | (image >= n)).any():
         raise UnknownLabel("the involution is not a map on this poset's elements")
-    return VerificationReport(
+    report = reports[f.image] = VerificationReport(
         (
             verdict("involutive", image[image] != np.arange(n), p.elements),
             verdict("antitone", _antitone(p.leq_matrix, image), p.elements),
         )
     )
+    return report
 
 
 @dataclass(frozen=True)
 class InvolutedPoset:
-    """A poset bundled with a validated antitone involution."""
+    """A poset bundled with a validated antitone involution.
+
+    The check runs through check_antitone_involution, so bundling a map the
+    same poset object has already checked costs a dict lookup.
+    """
 
     poset: Poset
     involution: Involution
@@ -102,6 +113,7 @@ class InvolutedPoset:
 
 
 def involuted(p: Poset, mapping) -> InvolutedPoset:
+    """Bundle p with an Involution or a label mapping, checked once per poset object and image."""
     if not isinstance(mapping, Involution):
         mapping = involution_from_mapping(p, mapping)
     return InvolutedPoset(p, mapping)

@@ -92,6 +92,11 @@ class Poset:
         return _frozen(np.concatenate(lower)), _frozen(np.concatenate(upper))
 
     @cached_property
+    def _involution_reports(self) -> dict:
+        """involution.check_antitone_involution's report for each image checked on this poset."""
+        return {}
+
+    @cached_property
     def _meet_table(self) -> np.ndarray:
         """meet[i, j]: index of the greatest lower bound, -1 where there is none."""
         return _frozen(_greatest_lower_bounds(self.leq_matrix))
@@ -304,8 +309,10 @@ def _transitive_closure(rows: list) -> list:
     of a depth-first search over the successors (Purdom, "A transitive
     closure algorithm", BIT 10, 1970).  Without a cycle every successor
     comes first, so one sweep closes every row, whatever order the labels
-    are listed in.  A successor still on the search path closes a cycle;
-    then the sweep repeats until a pass changes nothing.
+    are listed in, and a successor inside the row of one already taken is
+    skipped.  A successor still on the search path closes a cycle; then
+    every successor is taken and the sweep repeats until a pass changes
+    nothing.
     """
     rows = list(rows)
     strict = [r & ~(1 << i) for i, r in enumerate(rows)]
@@ -330,6 +337,17 @@ def _transitive_closure(rows: list) -> list:
                 path ^= 1 << i
                 cyclic |= strict[i] & path != 0
                 post.append(i)
+    if not cyclic:
+        # each successor's row is already closed and reflexive, so the
+        # successors inside a row just taken add nothing more
+        for i in post:
+            r, m = rows[i], strict[i]
+            while m:
+                row = rows[(m & -m).bit_length() - 1]
+                r |= row
+                m -= m & row
+            rows[i] = r
+        return rows
     while True:
         changed = False
         for i in post:
@@ -342,7 +360,7 @@ def _transitive_closure(rows: list) -> list:
             if r != old:
                 rows[i] = r
                 changed = True
-        if not (cyclic and changed):
+        if not changed:
             return rows
 
 

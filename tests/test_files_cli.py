@@ -542,12 +542,13 @@ class TestCli:
             (["mine", "-i", "builtin:kleene6"], 1),  # the builtin's
             (["extend", "thm2", "-i", "builtin:kleene6", "--n", "2"], 2),  # and the carrier's
             (["show", "-i", "builtin:cube16", "--format", "json"], 1),  # the algebra's
-            # the algebra's and check_pseudo_kleene's argument: the builtin
-            # already is a BooleanAlgebra, so recognize_boolean is not asked
-            (["classify", "-i", "builtin:cube16"], 2),
+            # the algebra's: check_pseudo_kleene's argument is the same map on
+            # the same poset, and the builtin already is a BooleanAlgebra
+            (["classify", "-i", "builtin:cube16"], 1),
             # the algebra's and the carrier's: the builtin already is a BooleanAlgebra
             (["extend", "thm5", "-i", "builtin:cube8", "--n", "2"], 2),
-            (["extend", "lemma2", "-i", "builtin:cube8"], 2),
+            # the algebra's: lemma2's carrier is the algebra's own poset
+            (["extend", "lemma2", "-i", "builtin:cube8"], 1),
         ],
     )
     def test_each_involution_is_checked_once(self, monkeypatch, capsys, argv, checks):

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -10,6 +11,9 @@ from resposet import (
     involuted,
     involution_from_mapping,
 )
+from resposet import involution
+from resposet.catalog import involuted_posets_up_to_size, posets_up_to_size
+from resposet.constructions import ExtensionMode, extend_theorem1
 from resposet.errors import InvalidInvolution, UnknownLabel
 from resposet.fixtures import chain, n5, n5_involuted
 from resposet.order import poset_from_covers
@@ -126,6 +130,19 @@ class TestEnumeration:
                 if bottom is not None and top is not None:
                     assert inv(bottom) == top and inv(top) == bottom
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_maps_on_a_shuffled_order(self, seed):
+        # the involutions found are label maps, whatever order the elements
+        # are listed in
+        count = 0
+        for p in posets_up_to_size(5):
+            q = poset_from_covers(random.Random(seed).sample(p.elements, len(p)), p.covers())
+            want = [inv.mapping for inv in enumerate_antitone_involutions(p)]
+            got = [inv.mapping for inv in enumerate_antitone_involutions(q)]
+            assert len(got) == len(want) and all(m in want for m in got)
+            count += len(want)
+        assert count == 82
+
 
 class TestInvolutedPoset:
     def test_valid_construction(self):
@@ -147,3 +164,81 @@ class TestInvolutedPoset:
         assert inv == enumerate_antitone_involutions(n5())[0]
         with pytest.raises(UnknownLabel):
             inv("zz")
+
+
+N5_MAP = {"0": "1", "a": "b", "b": "a", "c": "c", "1": "0"}
+
+
+class TestCheckedOncePerPoset:
+    """check_antitone_involution keeps each report on the poset object, keyed by image."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        # every evaluation of the axioms goes through involution._antitone
+        calls = []
+        antitone = involution._antitone
+        monkeypatch.setattr(
+            involution, "_antitone", lambda leq, f: calls.append(f.tolist()) or antitone(leq, f)
+        )
+        return calls
+
+    def test_repeat_check_returns_the_same_report(self, evaluations):
+        p = n5()
+        inv = involution_from_mapping(p, N5_MAP)
+        report = check_antitone_involution(p, inv)
+        assert check_antitone_involution(p, inv) is report
+        assert InvolutedPoset(p, inv).involution is inv
+        assert evaluations == [list(inv.image)]
+
+    def test_second_image_is_evaluated(self, evaluations):
+        p = poset_from_covers(
+            ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
+        )
+        first, second = enumerate_antitone_involutions(p)
+        assert evaluations == [list(first.image), list(second.image)]
+        assert check_antitone_involution(p, first) is not check_antitone_involution(p, second)
+        assert len(evaluations) == 2
+
+    def test_equal_but_distinct_poset_is_evaluated(self, evaluations):
+        p, q = n5(), n5()
+        inv = involution_from_mapping(p, N5_MAP)
+        assert p == q and p is not q
+        assert check_antitone_involution(p, inv) == check_antitone_involution(q, inv)
+        assert len(evaluations) == 2
+
+    def test_failing_map_raises_the_same_message_every_time(self, evaluations):
+        p = n5()
+        identity = {x: x for x in p.elements}
+        messages = []
+        for _ in range(3):
+            with pytest.raises(InvalidInvolution) as info:
+                involuted(p, identity)
+            messages.append(str(info.value))
+        assert messages == ["not an antitone involution: antitone: FAIL witness=('0', 'a')"] * 3
+        assert len(evaluations) == 1
+
+    def test_mapping_reuses_the_entry_an_involution_left(self, evaluations):
+        p = n5()
+        inv = involution_from_mapping(p, N5_MAP)
+        report = check_antitone_involution(p, inv)
+        assert check_antitone_involution(p, inv.mapping) is report
+        assert involuted(p, inv.mapping).involution == inv
+        assert len(evaluations) == 1
+
+    def test_off_carrier_image_is_rejected_after_a_check(self, evaluations):
+        p = chain(2)
+        assert check_antitone_involution(p, Involution(p.elements, (1, 0))).overall
+        with pytest.raises(UnknownLabel):
+            check_antitone_involution(p, Involution(("f1", "f2"), (1, 0)))
+        assert len(evaluations) == 1
+
+    def test_census_flow_evaluates_each_pair_once(self, evaluations):
+        # a census request on one catalog pair: the pair as an InvolutedPoset,
+        # its Theorem-1 extension (which checks its own fresh carrier) and the
+        # extension as an InvolutedPoset
+        pairs = involuted_posets_up_to_size(5)
+        assert len(pairs) == 82 and len(evaluations) == 82  # the enumeration's own checks
+        for p, inv in pairs:
+            result = extend_theorem1(InvolutedPoset(p, inv), ExtensionMode.ADD_FOUR)
+            InvolutedPoset(result.poset, result.involution)
+        assert len(evaluations) == 2 * 82

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -253,10 +255,10 @@ def test_closure_matches_squaring(data):
     check_closure(*data)
 
 
-def chain_listed(n, top_down):
-    """The covers of the n-chain v0 < v1 < ..., its labels listed bottom-up or top-down."""
+def chain_listed(n, top_down, whole=False):
+    """The n-chain v0 < v1 < ... as its covers, or every strict pair when whole, listed bottom-up or top-down."""
     labels = [f"v{i}" for i in range(n)]
-    pairs = list(zip(labels, labels[1:]))
+    pairs = list(combinations(labels, 2) if whole else zip(labels, labels[1:]))
     return (labels[::-1] if top_down else labels), pairs
 
 
@@ -265,6 +267,9 @@ def chain_listed(n, top_down):
     [
         chain_listed(300, top_down=False),
         chain_listed(300, top_down=True),
+        # dense rows: each successor's closed row holds every later one
+        chain_listed(200, top_down=False, whole=True),
+        chain_listed(200, top_down=True, whole=True),
         # a 3-cycle a -> b -> c -> a below d
         (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]),
         # the 3-cycle d -> c -> b -> d, with a below it, listed against it
@@ -273,7 +278,10 @@ def chain_listed(n, top_down):
         # it reaches e, so one sweep misses e in their rows
         (["a", "b", "c", "d", "e"], [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "e")]),
     ],
-    ids=["chain300-bottom-up", "chain300-top-down", "cycle-abc", "cycle-dcb", "cycle-then-tail"],
+    ids=[
+        "chain300-bottom-up", "chain300-top-down", "chain200-whole-bottom-up",
+        "chain200-whole-top-down", "cycle-abc", "cycle-dcb", "cycle-then-tail",
+    ],
 )
 def test_long_chains_and_cycles_match_squaring(labels, pairs):
     # a sweep in one fixed index order would close one of the two listings
