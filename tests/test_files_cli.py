@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from resposet.errors import (
     MalformedDocument,
     ReservedLabel,
     SchemaViolation,
+    StructureError,
 )
 from resposet.files import (
     Bundle,
@@ -35,6 +37,7 @@ N5_DOC = {
     "elements": ["0", "a", "b", "c", "1"],
     "covers": [["0", "a"], ["0", "c"], ["a", "b"], ["b", "1"], ["c", "1"]],
 }
+AB_DOC = {"elements": ["a", "b"], "covers": []}
 
 
 def roundtrip(doc, **kw):
@@ -166,6 +169,100 @@ class TestSchema:
         with pytest.raises(SchemaViolation) as exc:
             parse_structure(dict(doc, **change))
         assert exc.value.path == pointer
+
+    @pytest.mark.parametrize(
+        "doc, error, message",
+        [
+            ({"elements": ["#x", 1], "covers": []}, ReservedLabel,
+             "label '#x': the '#' prefix is reserved for generated chain elements"),
+            ({"elements": [1, "#x"], "covers": []}, SchemaViolation, "/elements/0: labels must be strings"),
+            ({"elements": ["b\ud800", "#x"], "covers": []}, SchemaViolation,
+             "/elements/0: a lone surrogate cannot be written as UTF-8"),
+            ({"elements": ["#x", "b\ud800"], "covers": []}, ReservedLabel,
+             "label '#x': the '#' prefix is reserved for generated chain elements"),
+            ({"elements": ["#x\ud800"], "covers": []}, SchemaViolation,
+             "/elements/0: a lone surrogate cannot be written as UTF-8"),
+            ({"elements": ["#c1", "#c", 2], "covers": []}, ReservedLabel,
+             "label '#c': the '#' prefix is reserved for generated chain elements"),
+            ({"elements": ["a", "a", 1], "covers": []}, SchemaViolation, "/elements/2: labels must be strings"),
+            ({"elements": ["a\ud800", "b"], "covers": [["a"]]}, SchemaViolation,
+             "/elements/0: a lone surrogate cannot be written as UTF-8"),
+            ({"elements": ["a", "a"], "covers": [["a"]]}, SchemaViolation,
+             "/covers/0: covers entries must be 2-arrays"),
+            ({"elements": ["a", "b"], "covers": [["a", 1], ["b"]]}, SchemaViolation,
+             "/covers/0/1: labels must be strings"),
+            ({"elements": ["a", "b"], "covers": [["a", "b", "a"], ["a", 1]]}, SchemaViolation,
+             "/covers/0: covers entries must be 2-arrays"),
+            ({"elements": ["a", "b"], "covers": ["ab", ["a", 1]]}, SchemaViolation,
+             "/covers/0: covers entries must be 2-arrays"),
+            ({"elements": ["a", "b"], "covers": [["a", "z"], ["a", 1]]}, SchemaViolation,
+             "/covers/1/1: labels must be strings"),
+            (dict(AB_DOC, involution={"z": "a", "a": 1}), SchemaViolation,
+             "/involution: involution key 'z' is not an element"),
+            (dict(AB_DOC, involution={"a": 1, "z": "a"}), SchemaViolation,
+             "/involution/a: labels must be strings"),
+            (dict(AB_DOC, involution={"a": "z", "b": 1}), SchemaViolation,
+             "/involution/b: labels must be strings"),
+            (dict(AB_DOC, involution={"a": "b\ud800", "z": "a"}), SchemaViolation,
+             "/involution: involution key 'z' is not an element"),
+            (dict(AB_DOC, involution={"a": 1}, unit="a", odot={}, arrow={}), SchemaViolation,
+             "/involution/a: labels must be strings"),
+            (dict(AB_DOC, unit="a", odot={"a": {"a": "a", "b": "a"}}, arrow={}, provenance={"k": "\udc80"}),
+             SchemaViolation, "/odot: row 'b' is missing"),
+        ],
+        ids=[
+            "reserved-before-non-string",
+            "non-string-before-reserved",
+            "surrogate-before-reserved",
+            "reserved-before-surrogate",
+            "reserved-with-surrogate",
+            "bad-generated-before-non-string",
+            "duplicate-before-non-string",
+            "surrogate-before-bad-cover",
+            "duplicate-before-bad-cover",
+            "non-string-cover-before-bad-cover",
+            "bad-cover-before-non-string-cover",
+            "string-cover-before-non-string-cover",
+            "unknown-cover-before-non-string-cover",
+            "unknown-key-before-bad-value",
+            "bad-value-before-unknown-key",
+            "unknown-value-before-bad-value",
+            "surrogate-value-before-unknown-key",
+            "bad-involution-before-bad-table",
+            "bad-table-before-bad-provenance",
+        ],
+    )
+    def test_the_first_of_two_flaws_is_reported(self, doc, error, message):
+        with pytest.raises(StructureError) as exc:
+            parse_structure(doc)
+        assert type(exc.value) is error
+        assert str(exc.value) == message  # a SchemaViolation's message starts with its pointer
+
+    def test_writing_cor1_200_stays_within_its_memory(self, tmp_path):
+        res = chain_residuation(200, verify=False)  # so to_doc computes the covers
+        with open(tmp_path / "cor1.json", "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                dump(to_doc(res), fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 2.87 MiB measured; the 1.7 MiB text held whole would break it
+        assert peak < 3.2 * 2**20
+
+    def test_reading_cor1_200_stays_within_its_memory(self, tmp_path):
+        res = chain_residuation(200, verify=False)
+        path = tmp_path / "cor1.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            dump(to_doc(res), fh)
+        with open(path, encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                load_structure(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 9.2 * 2**20  # 8.38 MiB measured
 
     def test_rows_in_any_key_order_read_the_same_tables(self):
         s = extend_theorem1(n5_involuted(), ExtensionMode.ADD_FOUR).structure
