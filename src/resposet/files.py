@@ -33,7 +33,8 @@ from .order import Poset, poset_from_relation
 from .residuation import ResiduatedStructure
 
 _KNOWN_FIELDS = {"elements", "covers", "involution", "unit", "odot", "arrow", "provenance"}
-_GENERATED = re.compile(r"#c[0-9]+")
+# a label that does not start with "#", or a generated "#c<i>"
+_UNRESERVED = re.compile(r"(?!#)|#c[0-9]+\Z")
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,30 @@ def _utf8(text, *segments):
 
 def _check_label(x, *segments):
     _utf8(_string(x, *segments), *segments)
-    if x.startswith("#") and not _GENERATED.fullmatch(x):
+    if not _UNRESERVED.match(x):
         raise ReservedLabel(
             f"label {x!r}: the '#' prefix is reserved for generated chain elements"
         )
-    return x
+
+
+def _only(kind, values) -> bool:
+    """Whether every value is of exactly this type, in one C-level pass."""
+    return set(map(type, values)) <= {kind}
+
+
+def _labels_pass(labels) -> bool:
+    """Whether each label passes _check_label, in a few C-level passes over them all.
+
+    False only sends the caller to _check_label on each label in turn,
+    which reports the first flaw (a str subclass passes there, not here).
+    """
+    if not _only(str, labels):
+        return False
+    try:
+        "".join(labels).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return all(map(_UNRESERVED.match, labels))
 
 
 def parse_structure(doc) -> Bundle:
@@ -96,23 +116,28 @@ def parse_structure(doc) -> Bundle:
     if unknown:
         raise SchemaViolation(f"unknown field {unknown[0]!r}", _pointer(unknown[0]))
 
+    # each part is checked whole first; the loops run only to report a flaw
     elements = _expect(doc, "elements", list)
-    elements = [_check_label(x, "elements", i) for i, x in enumerate(elements)]
+    if not _labels_pass(elements):
+        for i, x in enumerate(elements):
+            _check_label(x, "elements", i)
     covers = _expect(doc, "covers", list)
-    pairs = []
-    for i, pair in enumerate(covers):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise SchemaViolation("covers entries must be 2-arrays", f"/covers/{i}")
-        pairs.append((_string(pair[0], "covers", i, 0), _string(pair[1], "covers", i, 1)))
-    poset = poset_from_relation(elements, pairs)
+    if not (_only(list, covers) and set(map(len, covers)) <= {2} and _only(str, chain.from_iterable(covers))):
+        for i, pair in enumerate(covers):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise SchemaViolation("covers entries must be 2-arrays", f"/covers/{i}")
+            _string(pair[0], "covers", i, 0)
+            _string(pair[1], "covers", i, 1)
+    poset = poset_from_relation(elements, covers)
 
     ip = None
     if "involution" in doc:
         mapping = _expect(doc, "involution", dict)
-        for x, y in mapping.items():
-            if x not in poset:
-                raise SchemaViolation(f"involution key {x!r} is not an element", "/involution")
-            _string(y, "involution", x)
+        if not (mapping.keys() <= poset._index.keys() and _only(str, mapping.values())):
+            for x, y in mapping.items():
+                if x not in poset:
+                    raise SchemaViolation(f"involution key {x!r} is not an element", "/involution")
+                _string(y, "involution", x)
         ip = involuted(poset, mapping)
 
     structure = None
@@ -210,8 +235,9 @@ def to_doc(bundle) -> dict:
     """The document for a Bundle or ExtensionResult: the schema's fields in order."""
     p = bundle.poset
     doc = {"elements": list(p.elements), "covers": [[x, y] for x, y in p.covers()]}
-    if bundle.involution is not None:
-        doc["involution"] = {x: bundle.involution(x) for x in p.elements}
+    inv = bundle.involution
+    if inv is not None:
+        doc["involution"] = dict(zip(inv.elements, map(inv.elements.__getitem__, inv.image)))
     s = bundle.structure
     if s is not None:
         doc.update(unit=s.unit, odot=s.table_as_labels("odot"), arrow=s.table_as_labels("arrow"))
@@ -232,10 +258,12 @@ def dump(doc: dict, stream):
     An operation table repeats its n labels in n^2 cells, so each string is
     encoded once per call and each string-keyed, string-valued dict (a
     table row, the involution) is joined from a cached frame of its encoded
-    keys.  Everything else goes through json's own encoder, see _indented.
+    keys.  Everything else goes through json's own encoder, see _write.
     """
-    stream.writelines(_indented(doc, 0, _Encoded(), {}))
-    stream.write("\n")
+    out = []
+    _write(doc, "\n", out, stream, _Encoded(), {})
+    out.append("\n")
+    stream.writelines(out)
 
 
 class _Encoded(dict):
@@ -247,77 +275,75 @@ class _Encoded(dict):
 
 
 _CONTAINERS = (dict, list, tuple)
+# pieces held before they go to the stream: a few dozen table rows, so the
+# text is never held whole
+_PIECES = 64
 
 
-def _indented(o, level, encoded, frames):
-    """The text of o nested ``level`` deep, in pieces of one row or less.
+def _write(o, indent, out, stream, encoded, frames):
+    """Append the text of o to out in pieces of one row or less; indent precedes its closing bracket.
 
     json.dump with an indent encodes in pure Python.  A container holding no
     non-empty container is one row here.  A row of strings only is joined
-    by _string_row from the memo ``encoded``; the first key or value that
-    is not a string makes ``encoded`` raise TypeError.  Any other row goes
-    to json's C encoder whole, with an item separator that carries the
-    line break and indent: it is the only path for numbers, booleans and
-    None, which a memo keyed by value would conflate (1 == 1.0 == True).
-    Only the containers above the rows are walked in Python.
+    from the memo ``encoded``, whose first key or value that is not a
+    string raises TypeError; a dict row fills its frame from ``frames``,
+    one per indent and key sequence, with its encoded values.  Any other
+    row goes to json's C encoder whole, with an item separator that
+    carries the line break and indent: it is the only path for numbers,
+    booleans and None, which a memo keyed by value would conflate
+    (1 == 1.0 == True).  Only the containers above the rows are walked in
+    Python, and out goes to the stream once it holds _PIECES pieces.
     """
     is_dict = isinstance(o, dict)
-    if isinstance(o, _CONTAINERS):
+    values = o.values() if is_dict else o if isinstance(o, (list, tuple)) else None
+    inner = indent + "  "
+    if values is not None:
         try:
-            text = _string_row(o, level, encoded, frames)
+            cells = list(map(encoded.__getitem__, values))
+            if is_dict:
+                keys = tuple(o)
+                frame = frames.get((indent, keys)) or _frame(keys, indent, encoded, frames)
+                frame[1::2] = cells
+                out.append("".join(frame))
+            else:
+                out.append("[" + inner + ("," + inner).join(cells) + indent + "]" if cells else "[]")
+            return
         except TypeError:
             pass
-        else:
-            yield text
-            return
-    values = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
-    inner = "\n" + "  " * (level + 1)
     # the types first: the elements and the tables hold a few hundred values of one type
-    if not (
+    if values is None or not (
         any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
         and any(isinstance(v, _CONTAINERS) and v for v in values)
     ):
-        text = _row_encoder(level).encode(o)
-        yield text[0] + inner + text[1:-1] + inner[:-2] + text[-1] if values else text
+        text = _row_encoder(inner).encode(o)
+        out.append(text[0] + inner + text[1:-1] + indent + text[-1] if values else text)
         return
-    for i, (key, value) in enumerate(o.items() if is_dict else enumerate(o)):
-        yield ("{" if is_dict else "[") + inner if i == 0 else "," + inner
+    start, sep = ("{" if is_dict else "[") + inner, "," + inner
+    for key, value in o.items() if is_dict else enumerate(o):
         if isinstance(key, str):  # a dict key: a list's keys are its int indices
-            yield encoded[key] + ": "
+            out.append(start + encoded[key] + ": ")
         elif is_dict:  # the key as json writes it, str() of a number included
-            yield _row_encoder(level).encode({key: None})[1:-len(": null}")] + ": "
-        yield from _indented(value, level + 1, encoded, frames)
-    yield inner[:-2] + ("}" if is_dict else "]")
+            out.append(start + _row_encoder(inner).encode({key: None})[1:-len(": null}")] + ": ")
+        else:
+            out.append(start)
+        start = sep
+        _write(value, inner, out, stream, encoded, frames)
+        if len(out) >= _PIECES:
+            stream.writelines(out)
+            out.clear()
+    out.append(indent + ("}" if is_dict else "]"))
 
 
-def _string_row(o, level, encoded, frames):
-    """The text of a dict or list of strings; TypeError at the first key or item that is not one.
-
-    A dict row is its frame from ``frames``, one per depth and key
-    sequence, with its encoded values in every other slot.
-    """
-    if isinstance(o, dict):
-        cells = list(map(encoded.__getitem__, o.values()))
-        frame = _frame(tuple(o), level, encoded, frames)
-        frame[1::2] = cells
-        return "".join(frame)
-    cells = list(map(encoded.__getitem__, o))
-    inner = "\n" + "  " * (level + 1)
-    return "[" + inner + ("," + inner).join(cells) + inner[:-2] + "]" if cells else "[]"
-
-
-def _frame(keys, level, encoded, frames):
-    """The pieces of a dict row with these string keys, a None slot after each key."""
-    frame = frames.get((level, keys))
-    if frame is None:
-        inner = "\n" + "  " * (level + 1)
-        pieces = [("{" if i == 0 else ",") + inner + encoded[k] + ": " for i, k in enumerate(keys)]
-        frame = [x for piece in pieces for x in (piece, None)]
-        frame.append(inner[:-2] + "}" if keys else "{}")
-        frames[level, keys] = frame
+def _frame(keys, indent, encoded, frames):
+    """The pieces of a dict row with these string keys, a None slot after each key, kept in frames."""
+    inner = indent + "  "
+    pieces = [("{" if i == 0 else ",") + inner + encoded[k] + ": " for i, k in enumerate(keys)]
+    frame = [x for piece in pieces for x in (piece, None)]
+    frame.append(indent + "}" if keys else "{}")
+    frames[indent, keys] = frame
     return frame
 
 
 @functools.cache
-def _row_encoder(level):
-    return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + "  " * (level + 1), ": "))
+def _row_encoder(inner):
+    return json.JSONEncoder(ensure_ascii=False, separators=("," + inner, ": "))

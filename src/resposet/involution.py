@@ -49,15 +49,17 @@ def involution_from_mapping(p: Poset, mapping: dict) -> Involution:
     Only totality/label sanity is checked here; use
     check_antitone_involution for the axioms.
     """
-    for x, y in mapping.items():
-        if x not in p:
-            raise UnknownLabel(f"involution key {x!r} is not an element")
-        if y not in p:
-            raise UnknownLabel(f"involution value {y!r} is not an element")
-    missing = [x for x in p.elements if x not in mapping]
-    if missing:
+    index = p._index
+    # the whole map first; the loops run only to report a flaw
+    if not (mapping.keys() == index.keys() and all(map(index.__contains__, mapping.values()))):
+        for x, y in mapping.items():
+            if x not in p:
+                raise UnknownLabel(f"involution key {x!r} is not an element")
+            if y not in p:
+                raise UnknownLabel(f"involution value {y!r} is not an element")
+        missing = [x for x in p.elements if x not in mapping]
         raise UnknownLabel(f"involution is not total; missing {missing[0]!r}")
-    return Involution(p.elements, tuple(p.index(mapping[x]) for x in p.elements))
+    return Involution(p.elements, tuple(map(index.__getitem__, map(mapping.__getitem__, p.elements))))
 
 
 def _antitone(leq: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -19,6 +19,9 @@ from .errors import (
 )
 
 Label = str
+# the largest n x n product _reduction computes at once (n = 512); larger
+# carriers take it a quarter of the rows at a time
+_PRODUCT_CELLS = 1 << 18
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -78,13 +81,16 @@ class Poset:
         """(lower, upper) index arrays of the cover pairs, in element order."""
         n = len(self)
         f = self.leq_matrix.astype(np.float32)
-        # (f @ f)[i, j] counts the k with i <= k <= j, so it is 2 exactly when
-        # j covers i.  In float32 the product runs in BLAS and counts exactly;
-        # a quarter of the rows at a time keeps each product at a quarter of
-        # f's bytes, so the reduction stays within verify_residuated's peak.
-        step = max(1, -(-n // 4))
         dtype = np.min_scalar_type(n - 1)
-        lower, upper = [np.zeros(0, dtype)], [np.zeros(0, dtype)]
+        # (f @ f)[i, j] counts the k with i <= k <= j, so it is 2 exactly when
+        # j covers i.  In float32 the product runs in BLAS and counts exactly.
+        if n * n <= _PRODUCT_CELLS:
+            lower, upper = np.nonzero(f @ f == 2)
+            return _frozen(lower.astype(dtype)), _frozen(upper.astype(dtype))
+        # a quarter of the rows at a time keeps each product at a quarter of
+        # f's bytes, so the reduction stays within verify_residuated's peak
+        step = -(-n // 4)
+        lower, upper = [], []
         for start in range(0, n, step):
             i, j = np.nonzero(f[start:start + step] @ f == 2)
             lower.append((i + start).astype(dtype))
