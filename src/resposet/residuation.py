@@ -131,8 +131,11 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
     if n >= GALOIS_FROM and _galois(s):
         adjointness = passed("adjointness")
     else:
-        # x . y <= z  vs  x <= y -> z
-        adjointness = _slabbed("adjointness", lambda xs: leq[O[xs], :] != leq[xs][:, A], els)
+        # x . y <= z  vs  x <= y -> z; np.take gathers whole rows faster
+        # than fancy indexing, at 9 elements as at 998
+        adjointness = _slabbed(
+            "adjointness", lambda xs: np.take(leq, O[xs], axis=0) != np.take(leq[xs], A, axis=1), els
+        )
     commutativity = verdict("commutativity", O != O.T, els)
     # the associativity cubes gather O's values in the smallest dtype that
     # holds an index (one byte up to 256 elements), a fraction of the int64
