@@ -2,6 +2,7 @@ import inspect
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -25,6 +26,7 @@ from resposet import (
     verify_residuated,
 )
 from resposet.catalog import involuted_posets_up_to_size, posets_up_to_size
+from resposet.classify import recognize_boolean
 from resposet.constructions import MAX_CARRIER
 from resposet.errors import CarrierTooLarge, ModeUnsatisfiable, NTooSmall
 from resposet.fixtures import (
@@ -559,3 +561,59 @@ class TestStructuralEqualAgainstPermutations:
                 assert not structural_equal(a, b, fixed={x: "r" + y, z: "r" + y})
         assert verdicts == {True, False}
         assert automorphic > 0  # some pairs match under several relabelings
+
+
+def _shuffled(p: Poset, seed):
+    """p with its elements listed in a seeded random order."""
+    return poset_from_covers(random.Random(seed).sample(p.elements, len(p)), p.covers())
+
+
+def _same_output(a, b):
+    """Whether two results are one labelled structure, whatever order each lists its elements in."""
+    pinned = {x: x for x in a.structure.elements}  # every label to itself
+    return structural_equal(a.structure, b.structure, fixed=pinned) and (
+        a.involution.mapping, a.embedding, a.provenance
+    ) == (b.involution.mapping, b.embedding, b.provenance)
+
+
+class TestShuffledInput:
+    """A construction's output may not depend on the order its input lists the elements in."""
+
+    def test_theorem1_in_every_admitted_mode(self):
+        built = Counter()
+        named = (n5_involuted(), kleene_six_involuted(), pseudo_kleene_nine_involuted())
+        named = [(ip.poset, ip.involution) for ip in named]
+        for seed, (p, inv) in enumerate([*involuted_posets_up_to_size(5), *named]):
+            ip, iq = involuted(p, inv), involuted(_shuffled(p, seed), inv.mapping)
+            for mode in ExtensionMode:
+                try:
+                    base = extend_theorem1(ip, mode)
+                except ModeUnsatisfiable:
+                    with pytest.raises(ModeUnsatisfiable):
+                        extend_theorem1(iq, mode)
+                    continue
+                assert _same_output(base, extend_theorem1(iq, mode)), (p.elements, mode)
+                built[mode] += 1
+        assert built == {
+            ExtensionMode.ADD_FOUR: 85, ExtensionMode.REUSE_BOUNDS: 15, ExtensionMode.REUSE_FOUR: 4
+        }
+
+    def test_theorems_2_and_3(self):
+        pairs = list(involuted_posets_up_to_size(4))
+        for seed, (p, inv) in enumerate(pairs):
+            q = _shuffled(p, seed)
+            for n in (2, 3):
+                base = extend_theorem2(involuted(p, inv), n)
+                assert _same_output(base, extend_theorem2(involuted(q, inv.mapping), n))
+        for seed, p in enumerate(posets_up_to_size(4)):
+            q = _shuffled(p, seed)
+            for k in (0, 1):
+                assert _same_output(extend_theorem3(p, 2, k), extend_theorem3(q, 2, k))
+
+    def test_lemma2_and_theorem5(self):
+        for seed, B in enumerate([cube_boolean(k) for k in (1, 2, 3)] + [letter_cube_boolean()]):
+            C = recognize_boolean(_shuffled(B.lattice, seed))
+            pinned = {x: x for x in B.elements}
+            assert structural_equal(boolean_residuation(B), boolean_residuation(C), fixed=pinned)
+            for n in (1, 2):
+                assert _same_output(extend_boolean_theorem5(B, n), extend_boolean_theorem5(C, n))

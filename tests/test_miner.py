@@ -581,6 +581,21 @@ class TestRelabelling:
         assert kinds == {None: 164}
         assert (comparisons, structures) == (328, 759)
 
+    def test_catalog_pairs_and_extensions_give_the_same_structures_on_shuffled_orders(self):
+        # the bounded catalog pairs as they are, and every pair's Theorem-1
+        # extension, up to 9 elements
+        comparisons = structures = 0
+        for seed, ip in enumerate(bounded_pairs_and_extensions(5)):
+            shuffled = shuffled_order(ip, seed)
+            for require_negation in (True, False) if len(ip.poset) <= 6 else (True,):
+                base = find_residuations(ip, require_negation=require_negation, limit=ALL)
+                want = labelled(base)
+                assert not base.truncated and len(want) == len(base.structures)
+                structures += len(want)
+                assert labelled(find_residuations(shuffled, require_negation=require_negation, limit=ALL)) == want
+                comparisons += 1
+        assert (comparisons, structures) == (110, 507)
+
 
 def lattice_carriers():
     """The census carriers 0 < Q < 1 with |Q| <= 5 that are lattices, then the lattice builtins."""
