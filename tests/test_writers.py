@@ -92,6 +92,8 @@ def test_dump_writes_what_json_dump_writes(bundle):
         {},
         {"a": {}},
         {"a": {}, "b": {"c": "d"}, "e": [{}]},
+        # more pieces than dump holds before it writes them, at two depths
+        {"a": [[str(i), i] for i in range(100)], "b": {"c": [{"d": str(i)} for i in range(100)]}},
     ],
 )
 def test_dump_matches_json_dump_at_the_frame_gate(doc):
