@@ -88,26 +88,6 @@ def _check_label(x, *segments):
         )
 
 
-def _only(kind, values) -> bool:
-    """Whether every value is of exactly this type, in one C-level pass."""
-    return set(map(type, values)) <= {kind}
-
-
-def _labels_pass(labels) -> bool:
-    """Whether each label passes _check_label, in a few C-level passes over them all.
-
-    False only sends the caller to _check_label on each label in turn,
-    which reports the first flaw (a str subclass passes there, not here).
-    """
-    if not _only(str, labels):
-        return False
-    try:
-        "".join(labels).encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return all(map(_UNRESERVED.match, labels))
-
-
 def parse_structure(doc) -> Bundle:
     """Validate a decoded JSON document and build its Bundle."""
     if not isinstance(doc, dict):
@@ -116,28 +96,24 @@ def parse_structure(doc) -> Bundle:
     if unknown:
         raise SchemaViolation(f"unknown field {unknown[0]!r}", _pointer(unknown[0]))
 
-    # each part is checked whole first; the loops run only to report a flaw
     elements = _expect(doc, "elements", list)
-    if not _labels_pass(elements):
-        for i, x in enumerate(elements):
-            _check_label(x, "elements", i)
+    for i, x in enumerate(elements):
+        _check_label(x, "elements", i)
     covers = _expect(doc, "covers", list)
-    if not (_only(list, covers) and set(map(len, covers)) <= {2} and _only(str, chain.from_iterable(covers))):
-        for i, pair in enumerate(covers):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaViolation("covers entries must be 2-arrays", f"/covers/{i}")
-            _string(pair[0], "covers", i, 0)
-            _string(pair[1], "covers", i, 1)
+    for i, pair in enumerate(covers):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise SchemaViolation("covers entries must be 2-arrays", f"/covers/{i}")
+        _string(pair[0], "covers", i, 0)
+        _string(pair[1], "covers", i, 1)
     poset = poset_from_relation(elements, covers)
 
     ip = None
     if "involution" in doc:
         mapping = _expect(doc, "involution", dict)
-        if not (mapping.keys() <= poset._index.keys() and _only(str, mapping.values())):
-            for x, y in mapping.items():
-                if x not in poset:
-                    raise SchemaViolation(f"involution key {x!r} is not an element", "/involution")
-                _string(y, "involution", x)
+        for x, y in mapping.items():
+            if x not in poset:
+                raise SchemaViolation(f"involution key {x!r} is not an element", "/involution")
+            _string(y, "involution", x)
         ip = involuted(poset, mapping)
 
     structure = None
@@ -310,11 +286,7 @@ def _write(o, indent, out, stream, encoded, frames):
             return
         except TypeError:
             pass
-    # the types first: the elements and the tables hold a few hundred values of one type
-    if values is None or not (
-        any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
-        and any(isinstance(v, _CONTAINERS) and v for v in values)
-    ):
+    if values is None or not any(isinstance(v, _CONTAINERS) and v for v in values):
         text = _row_encoder(inner).encode(o)
         out.append(text[0] + inner + text[1:-1] + indent + text[-1] if values else text)
         return

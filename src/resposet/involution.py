@@ -50,15 +50,17 @@ def involution_from_mapping(p: Poset, mapping: dict) -> Involution:
     check_antitone_involution for the axioms.
     """
     index = p._index
-    # the whole map first; the loops run only to report a flaw
-    if not (mapping.keys() == index.keys() and all(map(index.__contains__, mapping.values()))):
-        for x, y in mapping.items():
-            if x not in p:
-                raise UnknownLabel(f"involution key {x!r} is not an element")
-            if y not in p:
-                raise UnknownLabel(f"involution value {y!r} is not an element")
-        missing = [x for x in p.elements if x not in mapping]
-        raise UnknownLabel(f"involution is not total; missing {missing[0]!r}")
+    for x, y in mapping.items():
+        if x not in index:
+            raise UnknownLabel(f"involution key {x!r} is not an element")
+        try:
+            index[y]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise UnknownLabel(f"involution value {y!r} is not an element") from None
+    # every key is an element, so a map as long as p is total
+    if len(mapping) != len(p):
+        missing = next(x for x in p.elements if x not in mapping)
+        raise UnknownLabel(f"involution is not total; missing {missing!r}")
     return Involution(p.elements, tuple(map(index.__getitem__, map(mapping.__getitem__, p.elements))))
 
 

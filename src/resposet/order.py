@@ -19,8 +19,8 @@ from .errors import (
 )
 
 Label = str
-# the largest n x n product _reduction computes at once (n = 512); larger
-# carriers take it a quarter of the rows at a time
+# the most cells of one slab product in _reduction: one product up to
+# n = 512 elements, four slabs at n = 998
 _PRODUCT_CELLS = 1 << 18
 
 
@@ -84,14 +84,11 @@ class Poset:
         dtype = np.min_scalar_type(n - 1)
         # (f @ f)[i, j] counts the k with i <= k <= j, so it is 2 exactly when
         # j covers i.  In float32 the product runs in BLAS and counts exactly.
-        if n * n <= _PRODUCT_CELLS:
-            lower, upper = np.nonzero(f @ f == 2)
-            return _frozen(lower.astype(dtype)), _frozen(upper.astype(dtype))
-        # a quarter of the rows at a time keeps each product at a quarter of
-        # f's bytes, so the reduction stays within verify_residuated's peak
-        step = -(-n // 4)
+        # Slabs of rows keep each product within _PRODUCT_CELLS cells, so a
+        # large carrier's reduction stays within verify_residuated's peak.
+        step = max(1, _PRODUCT_CELLS // max(n, 1))
         lower, upper = [], []
-        for start in range(0, n, step):
+        for start in range(0, max(n, 1), step):  # one empty slab when n = 0
             i, j = np.nonzero(f[start:start + step] @ f == 2)
             lower.append((i + start).astype(dtype))
             upper.append(j.astype(dtype))

@@ -67,6 +67,28 @@ class TestCheck:
             check_antitone_involution(chain(2), {"e1": "e2"})
 
     @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({"zz": "e2", "e1": "yy", "e2": "e1"}, "involution key 'zz' is not an element"),
+            ({"e1": "yy", "zz": "e2", "e2": "e1"}, "involution value 'yy' is not an element"),
+            ({"e1": "zz", "e2": "e1"}, "involution value 'zz' is not an element"),
+            ({"e1": ["e2"], "e2": "e1"}, "involution value ['e2'] is not an element"),
+            ({"e4": "e1", "e2": "e3"}, "involution is not total; missing 'e1'"),
+        ],
+        ids=["unknown-key-first", "unknown-value-first", "unknown-value", "unhashable-value", "partial"],
+    )
+    def test_mapping_reports_its_first_flaw(self, mapping, message):
+        # each map leaves elements of the 4-chain out, so totality is checked last
+        with pytest.raises(UnknownLabel) as info:
+            involution_from_mapping(chain(4), mapping)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("check", [check_antitone_involution, involuted])
+    def test_unhashable_value_is_an_unknown_label(self, check):
+        with pytest.raises(UnknownLabel, match=r"^involution value \['e2'\] is not an element$"):
+            check(chain(2), {"e1": ["e2"], "e2": "e1"})
+
+    @pytest.mark.parametrize(
         "elements, image",
         [(("f1", "f2"), (1, 0)), (("e1", "e2"), (2, 0)), (("e1", "e2"), (-1, 0)), (("e1", "e2"), (1,))],
         ids=["other-carrier", "past-the-end", "negative", "short"],

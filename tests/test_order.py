@@ -193,10 +193,14 @@ class TestRoundTrip:
             assert rebuilt == p
 
     def test_one_product_and_quarter_products_give_the_same_covers(self, small_posets, monkeypatch):
-        posets = [Poset((), np.zeros((0, 0), bool)), *small_posets, letter_cube_boolean().lattice]
+        n = 513  # past one product: two slabs of rows at the default _PRODUCT_CELLS
+        assert -(-n // (order._PRODUCT_CELLS // n)) == 2
+        long_chain = Poset(tuple(f"v{i}" for i in range(n)), np.triu(np.ones((n, n), bool)))
+        posets = [Poset((), np.zeros((0, 0), bool)), *small_posets, letter_cube_boolean().lattice, long_chain]
         whole = [p.covers() for p in posets]
         assert whole[0] == []
-        monkeypatch.setattr(order, "_PRODUCT_CELLS", 0)  # a quarter of the rows at a time
+        assert whole[-1] == [(f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+        monkeypatch.setattr(order, "_PRODUCT_CELLS", 0)  # one row per product
         assert [Poset(p.elements, p.leq_matrix).covers() for p in posets] == whole
 
     def test_reduction_of_998_elements_stays_in_quarter_products(self):
