@@ -8,12 +8,12 @@ the axioms:
   integrality:   x . y must be a common lower bound of x and y
                  (the unit is the greatest element)
   monotonicity:  a <= b implies a . c <= b . c; on entering cell (i, j)
-                 the search bounds its values, as one int mask, by the
-                 assigned cells comparable to it, and each candidate
-                 outside the mask is pruned.  When the element order is
-                 a linear extension the bound comes from a . j and i . b
-                 for the lower covers a of i and b of j, and otherwise
-                 from the whole box of comparable assigned cells
+                 the search bounds its values, as one int mask, by
+                 a . j and i . b for the lower covers a of i and b of j,
+                 and each candidate outside the mask is pruned.  The
+                 search runs on a linear extension: a carrier listed in
+                 another order is searched relabelled to one, and its
+                 structures are mapped back to the input's labels
   negation-zero: when the derived negation must equal the involution,
                  x . y = 0 exactly when x <= y'
   associativity: (a . b) . c = a . (b . c) on every triple whose four
@@ -50,7 +50,8 @@ from itertools import chain, compress, product
 import numpy as np
 
 from .errors import CarrierTooLarge, LimitZero, Unbounded
-from .involution import InvolutedPoset
+from .involution import InvolutedPoset, involuted
+from .order import Poset
 from .residuation import SLAB_CELLS, ResiduatedStructure, _associative, _residuals
 
 # The most carrier elements the miner searches.  Its set-up holds up to
@@ -160,6 +161,8 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     The unit is the top element.  When require_negation is set, only
     structures whose derived negation equals the involution are
     accepted.  Results appear in lexicographic order of the monoid table.
+    An input not listed in a linear extension is searched relabelled to
+    one, so a truncated search keeps the relabelled search's first limit.
     """
     top, cells = _free_cells(ip, limit)
     p = ip.poset
@@ -169,11 +172,11 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
 
     rows, columns = p.leq_matrix.tolist(), p.leq_matrix.T.tolist()
     down = [list(compress(range(n), column)) for column in columns]
-    up = [list(compress(range(n), row)) for row in rows]
-    # whether the element order is a linear extension (a < b gives index
-    # a < index b: each x ends its down-set) is a property of the input,
-    # decided once
-    rising = all(down[x][-1] == x for x in range(n))
+    # the element order is a linear extension (a < b gives index a < index
+    # b) when each x ends its down-set; otherwise search one, the stable
+    # sort by down-set size, as a < b gives down(a) within down(b)
+    if any(down[x][-1] != x for x in range(n)):
+        return _relabelled(ip, sorted(range(n), key=lambda x: len(down[x])), require_negation, limit)
     inv = ip.involution.image
     zero = p.index(p.bounds()[0]) if require_negation else -1
     # x . y is a common lower bound of x and y (integrality) and, when the
@@ -187,13 +190,12 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     # w = a v b exactly when the up-sets, as int masks, meet in w's.
     # partners[y] lists (z, y v z) for each z incomparable to y whose join
     # with y exists; splits[w] lists the incomparable pairs (a, b) with
-    # a v b = w.  With a linear extension y v z, above y, has the larger
+    # a v b = w.  In a linear extension y v z, above y, has the larger
     # index, so when x . y is the new cell (i, j) or its mirror, the cell
     # of x . (y v z) comes later in row-major order and is unassigned,
-    # unless y v z is the unit; partners then keeps only the unit's
+    # unless y v z is the unit; partners keeps only the unit's
     bits = [1 << a for a in range(n)]
     ups = [sum(compress(bits, row)) for row in rows]
-    downs = [sum(compress(bits, column)) for column in columns]
     join_of = {mask: x for x, mask in enumerate(ups)}
     partners = [[] for _ in range(n)]
     splits = [[] for _ in range(n)]
@@ -201,7 +203,7 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
         for a in range(b):
             if not (rows[a][b] or rows[b][a]) and (w := join_of.get(ups[a] & ups[b])) is not None:
                 splits[w].append((a, b))
-                if not rising or w == u:
+                if w == u:
                     partners[a].append((b, w))
                     partners[b].append((a, w))
     touched = [bool(partners[y] or splits[y]) for y in range(n)]
@@ -212,13 +214,12 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     # far is above it
     full = (1 << n) - 1
     lower = [[] for _ in range(n)]
-    if rising:
-        for x in range(n):
-            found = 0
-            for a in reversed(down[x][:-1]):
-                if not ups[a] & found:
-                    found |= 1 << a
-                    lower[x].append(a)
+    for x in range(n):
+        found = 0
+        for a in reversed(down[x][:-1]):
+            if not ups[a] & found:
+                found |= 1 << a
+                lower[x].append(a)
 
     # the table as int rows, -1 where unassigned; preimage[x] lists the
     # assigned cells (a, b) off the unit row, both orientations, with
@@ -235,40 +236,26 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
         An assigned (a, b) with a <= i, b <= j needs a . b <= v, and with
         i <= a, j <= b needs v <= a . b; t is symmetric, so these also
         cover (b, a).  Every cell before (i, j) in row-major order is
-        assigned, and none after it but on the unit row.
+        assigned, and none after it but on the unit row.  As the order is
+        a linear extension (a < b in the order gives index a < index b),
+        and i <= j:
+        - every (a, b) != (i, j) with a <= i, b <= j is assigned: a < i
+          gives min(a, b) < i, and a = i gives b < j;
+        - no (a, b) != (i, j) with i <= a, j <= b is, but on the unit row:
+          min(a, b) >= i, equal only at a = i, b > j.  There t[a][b] is a
+          or b, above i or j and so above v (integrality).
+        The assigned cells form a monotone partial table, since every
+        ancestor passed, so a < i gives a . b <= a . j, both assigned.  So
+        a . j <= v for the a < i and i . b <= v for the b < j bound v
+        exactly, and as an a < i lies below a lower cover c of i, where
+        a . j <= c . j, the lower covers of i and j suffice.
         """
         allowed = full
-        if rising:
-            # When the order is a linear extension (a < b in the order
-            # gives index a < index b), then, as i <= j:
-            # - every (a, b) != (i, j) with a <= i, b <= j is assigned: a < i
-            #   gives min(a, b) < i, and a = i gives b < j;
-            # - no (a, b) != (i, j) with i <= a, j <= b is, but on the unit
-            #   row: min(a, b) >= i, equal only at a = i, b > j.  There
-            #   t[a][b] is a or b, above i or j and so above v (integrality).
-            # The assigned cells form a monotone partial table, since every
-            # ancestor passed, so a < i gives a . b <= a . j, both assigned.
-            # The box thus bounds v exactly by a . j <= v for the a < i and
-            # i . b <= v for the b < j.  An a < i lies below a lower cover c
-            # of i, and a . j <= c . j, so the lower covers of i and j
-            # suffice.
-            row_i = t[i]
-            for a in lower[i]:
-                allowed &= ups[t[a][j]]
-            for b in lower[j]:
-                allowed &= ups[row_i[b]]
-            return allowed
-        down_j, up_j = down[j], up[j]
-        for a in down[i]:
-            row = t[a]
-            for b in down_j:
-                if (w := row[b]) >= 0:
-                    allowed &= ups[w]
-        for a in up[i]:
-            row = t[a]
-            for b in up_j:
-                if (w := row[b]) >= 0:
-                    allowed &= downs[w]
+        row_i = t[i]
+        for a in lower[i]:
+            allowed &= ups[t[a][j]]
+        for b in lower[j]:
+            allowed &= ups[row_i[b]]
         return allowed
 
     def assoc_ok(pos, v):
@@ -395,6 +382,18 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     stats.nodes = nodes
     stats.prunes.update((rule, count) for rule, count in pruned.items() if count)
     return MinerOutcome(bool(results), results, stats, len(results) >= limit)
+
+
+def _relabelled(ip: InvolutedPoset, order, require_negation, limit) -> MinerOutcome:
+    """find_residuations on ip listed in order, a linear extension, its structures mapped back to ip's labels."""
+    p = ip.poset
+    q = Poset(tuple(p.elements[x] for x in order), p.leq_matrix[np.ix_(order, order)])
+    outcome = find_residuations(involuted(q, ip.involution.mapping), require_negation, limit)
+    back = np.ix_(*[np.argsort(order)] * 2)
+    mapped = (ResiduatedStructure(p, s.unit, np.take(order, s.odot)[back], np.take(order, s.arrow)[back])
+              for s in outcome.structures)
+    outcome.structures = sorted(mapped, key=lambda s: s.odot.tolist())  # lexicographic in ip's table
+    return outcome
 
 
 def find_residuations_naive(ip: InvolutedPoset, require_negation=True, limit=10**9) -> MinerOutcome:
