@@ -480,27 +480,24 @@ SEARCH_TREES = [
      (161, False, {"nodes": 9184, "prunes": {"associativity": 2889, "monotonicity": 4575}})),
     ("chain11", lambda: chain_inv(11), True, ALL,
      (329, False, {"nodes": 26532, "prunes": {"associativity": 9374, "monotonicity": 12821}})),
-    # element orders that are duals of linear extensions: the miner bounds
-    # each cell by the whole box of comparable cells there, and the order
-    # changes the search's size
-    ("kleene6-reversed", lambda: reversed_order(kleene_six_involuted()), True, ALL,
-     (4, False, {"nodes": 80, "prunes": {"associativity": 4, "joins": 5, "monotonicity": 9}})),
-    ("kleene6-reversed-any-negation", lambda: reversed_order(kleene_six_involuted()), False, ALL,
-     (19, False, {"nodes": 408, "prunes": {"associativity": 40, "joins": 35, "monotonicity": 92}})),
-    ("chain8-reversed", lambda: reversed_order(chain_inv(8)), True, ALL,
-     (31, False, {"nodes": 3588, "prunes": {"associativity": 781, "monotonicity": 1052}})),
-    # an element order that is neither a linear extension nor its dual:
-    # the miner bounds each cell by the whole box of comparable cells
-    ("kleene6-shuffled", lambda: shuffled_order(kleene_six_involuted()), True, ALL,
-     (4, False, {"nodes": 54, "prunes": {"associativity": 7, "joins": 1, "monotonicity": 10}})),
-    ("kleene6-shuffled-any-negation", lambda: shuffled_order(kleene_six_involuted()), False, ALL,
-     (19, False, {"nodes": 298, "prunes": {"associativity": 40, "joins": 31, "monotonicity": 91}})),
-    ("chain8-shuffled", lambda: shuffled_order(chain_inv(8)), True, ALL,
-     (31, False, {"nodes": 2029, "prunes": {"associativity": 277, "monotonicity": 508}})),
     # not a lattice: leaves without a residual reach the leaf check
     ("stacked-antichains-any-negation", stacked_antichains, False, ALL,
      (113, False, {"nodes": 10363, "prunes": {"associativity": 2178, "joins": 326, "monotonicity": 5250,
                                               "residual-missing": 174}})),
+]
+PINNED = {name: expected for name, *_, expected in SEARCH_TREES}
+# element orders that are not linear extensions, the duals of one and
+# neither: the miner searches each carrier relabelled to its stable sort
+# by down-set size, which gives the in-order case's tree
+SEARCH_TREES += [
+    ("kleene6-reversed", lambda: reversed_order(kleene_six_involuted()), True, ALL, PINNED["kleene6"]),
+    ("kleene6-reversed-any-negation", lambda: reversed_order(kleene_six_involuted()), False, ALL,
+     PINNED["kleene6-any-negation"]),
+    ("chain8-reversed", lambda: reversed_order(chain_inv(8)), True, ALL, PINNED["chain8"]),
+    ("kleene6-shuffled", lambda: shuffled_order(kleene_six_involuted()), True, ALL, PINNED["kleene6"]),
+    ("kleene6-shuffled-any-negation", lambda: shuffled_order(kleene_six_involuted()), False, ALL,
+     PINNED["kleene6-any-negation"]),
+    ("chain8-shuffled", lambda: shuffled_order(chain_inv(8)), True, ALL, PINNED["chain8"]),
 ]
 
 
@@ -588,7 +585,7 @@ class TestRelabelling:
                     assert labelled(find_residuations(q, require_negation=require_negation, limit=ALL)) == want
                     comparisons += 1
         # every shuffle is neither a linear extension nor its dual, so each
-        # search bounds its cells by whole boxes
+        # search runs on the carrier relabelled to a linear extension
         assert kinds == {None: 164}
         assert (comparisons, structures) == (328, 759)
 
