@@ -162,7 +162,7 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     structures whose derived negation equals the involution are
     accepted.  Results appear in lexicographic order of the monoid table.
     An input not listed in a linear extension is searched relabelled to
-    one, so a truncated search keeps the relabelled search's first limit.
+    one, so a truncated search keeps that search's first limit structures.
     """
     top, cells = _free_cells(ip, limit)
     p = ip.poset

@@ -2,7 +2,7 @@ import io
 import random
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -35,7 +35,7 @@ from resposet.fixtures import (
     n5_involuted,
     pseudo_kleene_nine_involuted,
 )
-from resposet.miner import MAX_CARRIER, MinerOutcome, MinerStats, _free_cells, _leaf_check
+from resposet.miner import MAX_CARRIER, NAIVE_MAX, MinerOutcome, MinerStats, _free_cells, _leaf_check
 from resposet.order import poset_from_covers, poset_from_relation
 from resposet.residuation import SLAB_CELLS, ResiduatedStructure, _negation, _residuals
 
@@ -603,6 +603,37 @@ class TestRelabelling:
                 assert labelled(find_residuations(shuffled, require_negation=require_negation, limit=ALL)) == want
                 comparisons += 1
         assert (comparisons, structures) == (110, 507)
+
+    def test_every_order_lists_the_naive_oracles_structures_in_order(self):
+        # the naive oracle searches the input's own order, so equal lists
+        # check each structure mapped back and the sort into lexicographic
+        # order of the input's table
+        searches = structures = 0
+        kinds = Counter()
+        for ip in bounded_pairs_and_extensions(NAIVE_MAX):
+            if len(ip.poset) > NAIVE_MAX:
+                continue
+            for elements in permutations(ip.poset.elements):
+                q = involuted(poset_from_covers(elements, ip.poset.covers()), ip.involution.mapping)
+                kinds[order_kind(q)] += 1
+                for require_negation in (True, False):
+                    fast = find_residuations(q, require_negation=require_negation, limit=ALL)
+                    assert fast.structures == find_residuations_naive(q, require_negation=require_negation).structures
+                    searches += 1
+                    structures += len(fast.structures)
+        assert kinds == {None: 66, "dual": 7, "extension": 8}
+        assert (searches, structures) == (162, 288)
+
+    @pytest.mark.parametrize("require_negation", [True, False])
+    @pytest.mark.parametrize("make", [kleene_six_involuted, lambda: chain_inv(8)], ids=["kleene6", "chain8"])
+    def test_truncated_search_keeps_the_relabelled_carriers_first_structure(self, make, require_negation):
+        # not the first in the input's table order: the shuffled order
+        # lists another structure first
+        q = shuffled_order(make())
+        first = find_residuations(q, require_negation=require_negation, limit=1)
+        relabelled = find_residuations(searched_order(q), require_negation=require_negation, limit=1)
+        assert first.truncated and labelled(first) == labelled(relabelled)
+        assert first.structures != find_residuations(q, require_negation=require_negation, limit=ALL).structures[:1]
 
 
 def lattice_carriers():
