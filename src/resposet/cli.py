@@ -165,19 +165,18 @@ def cmd_mine(args):
     ip = _need_involuted(bundle)
     search = find_residuations_naive if args.naive else find_residuations
     outcome = search(ip, args.require_negation, args.limit)
-    lines = []
-    if outcome.satisfiable:
-        lines.append(f"satisfiable: {len(outcome.structures)} structure(s) found")
-        for i, s in enumerate(outcome.structures):
-            lines.append(f"--- structure {i + 1} ---")
-            with _timed(args.seconds, "render"):
-                lines.append(render_tables(s, "text").rstrip("\n"))
-    else:
-        lines.append("unsatisfiable")
+    found = f"satisfiable: {len(outcome.structures)} structure(s) found"
+    lines = [found if outcome.satisfiable else "unsatisfiable"]
+    if outcome.truncated:
+        lines.append(f"truncated at --limit {args.limit}: more structures may exist")
+    for i, s in enumerate(outcome.structures, 1):
+        lines.append(f"--- structure {i} ---")
+        with _timed(args.seconds, "render"):
+            lines.append(render_tables(s, "text").rstrip("\n"))
+    stats = outcome.stats.as_dict()
     if args.stats_json:
-        lines.append(json.dumps(outcome.stats.as_dict(), indent=2))
+        lines.append(json.dumps({**stats, "truncated": outcome.truncated}, indent=2))
     else:
-        stats = outcome.stats.as_dict()
         lines.append(f"nodes explored: {stats['nodes']}")
         for rule, count in stats["prunes"].items():
             lines.append(f"prunes[{rule}]: {count}")

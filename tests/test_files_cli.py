@@ -391,6 +391,32 @@ class TestCli:
         stats = json.loads(out[out.index('{\n  "nodes"'):])
         assert stats["prunes"]["joins"] > 0
 
+    def test_mine_reversed_file_and_its_limit(self, tmp_path, capsys):
+        # an element order that is no linear extension is searched
+        # relabelled to one, here the builtin's own order: the same tree
+        ip = BUILTINS["kleene6"]()
+        doc = to_doc(Bundle(ip.poset, ip))
+        doc["elements"].reverse()
+        path = tmp_path / "kleene6-reversed.json"
+        path.write_text(json.dumps(doc))
+        stats = []
+        for source in ("builtin:kleene6", str(path)):
+            assert main(["mine", "-i", source, "--stats-json"]) == 0
+            out = capsys.readouterr().out
+            assert out.splitlines()[:2] == ["satisfiable: 4 structure(s) found", "--- structure 1 ---"]
+            stats.append(json.loads(out[out.index('{\n  "nodes"'):]))
+        assert stats[0] == stats[1]
+        assert (stats[1]["nodes"], stats[1]["truncated"]) == (45, False)
+        # the first line stays as it was; the next says the list may be incomplete
+        assert main(["mine", "-i", str(path), "--limit", "2", "--stats-json"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:3] == [
+            "satisfiable: 2 structure(s) found",
+            "truncated at --limit 2: more structures may exist",
+            "--- structure 1 ---",
+        ]
+        assert json.loads(out[out.index('{\n  "nodes"'):])["truncated"] is True
+
     def test_unknown_builtin_lists_the_builtins(self, capsys):
         assert main(["mine", "-i", "builtin:nope"]) == 2
         err = capsys.readouterr().err
