@@ -168,7 +168,7 @@ def cmd_mine(args):
     found = f"satisfiable: {len(outcome.structures)} structure(s) found"
     lines = [found if outcome.satisfiable else "unsatisfiable"]
     if outcome.truncated:
-        lines.append(f"truncated at --limit {args.limit}: more structures may exist")
+        lines.append(f"search stopped at --limit {args.limit}")
     for i, s in enumerate(outcome.structures, 1):
         lines.append(f"--- structure {i} ---")
         with _timed(args.seconds, "render"):

@@ -19,7 +19,6 @@ construction-generated chain elements and only the canonical "#c<i>"
 forms are accepted back on input (so construction output round-trips).
 """
 
-import functools
 import json
 import re
 from dataclasses import dataclass
@@ -229,17 +228,37 @@ def structure_to_doc(s: ResiduatedStructure, involution=None, provenance=None) -
 
 
 def dump(doc: dict, stream):
-    """Write what json.dump(doc, stream, indent=2, ensure_ascii=False) writes, and a newline.
+    """Write a to_doc document as json.dump(doc, stream, indent=2, ensure_ascii=False) does, and a newline.
 
-    An operation table repeats its n labels in n^2 cells, so each string is
-    encoded once per call and each string-keyed, string-valued dict (a
-    table row, the involution) is joined from a cached frame of its encoded
-    keys.  Everything else goes through json's own encoder, see _write.
+    The odot and arrow tables repeat their n labels in n^2 cells, so they
+    go to the stream one row per write: each label is encoded once per
+    call, and each row is joined from a frame of its encoded keys, cached
+    per key sequence.  Every other field is json.dumps's text, indented
+    one level.
     """
-    out = []
-    _write(doc, "\n", out, stream, _Encoded(), {})
-    out.append("\n")
-    stream.writelines(out)
+    encoded, frames = _Encoded(), {}
+    start = "{\n  "
+    for key, value in doc.items():
+        stream.write(start + encoded[key] + ": ")
+        start = ",\n  "
+        if key not in ("odot", "arrow") or not value:
+            stream.write(json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  "))
+            continue
+        sep = "{\n    "
+        for x, row in value.items():
+            keys = tuple(row)
+            frame = frames.get(keys)
+            if frame is None:
+                # the row's text, a None slot after each key for its cell
+                frame = frames[keys] = []
+                for i, k in enumerate(keys):
+                    frame += ("," if i else "{") + "\n      " + encoded[k] + ": ", None
+                frame.append("\n    }" if keys else "{}")
+            frame[1::2] = map(encoded.__getitem__, row.values())
+            stream.write(sep + encoded[x] + ": " + "".join(frame))
+            sep = ",\n    "
+        stream.write("\n  }")
+    stream.write("\n}\n" if doc else "{}\n")
 
 
 class _Encoded(dict):
@@ -248,74 +267,3 @@ class _Encoded(dict):
     def __missing__(self, s):
         text = self[s] = json.encoder.encode_basestring(s)
         return text
-
-
-_CONTAINERS = (dict, list, tuple)
-# pieces held before they go to the stream: a few dozen table rows, so the
-# text is never held whole
-_PIECES = 64
-
-
-def _write(o, indent, out, stream, encoded, frames):
-    """Append the text of o to out in pieces of one row or less; indent precedes its closing bracket.
-
-    json.dump with an indent encodes in pure Python.  A container holding no
-    non-empty container is one row here.  A row of strings only is joined
-    from the memo ``encoded``, whose first key or value that is not a
-    string raises TypeError; a dict row fills its frame from ``frames``,
-    one per indent and key sequence, with its encoded values.  Any other
-    row goes to json's C encoder whole, with an item separator that
-    carries the line break and indent: it is the only path for numbers,
-    booleans and None, which a memo keyed by value would conflate
-    (1 == 1.0 == True).  Only the containers above the rows are walked in
-    Python, and out goes to the stream once it holds _PIECES pieces.
-    """
-    is_dict = isinstance(o, dict)
-    values = o.values() if is_dict else o if isinstance(o, (list, tuple)) else None
-    inner = indent + "  "
-    if values is not None:
-        try:
-            cells = list(map(encoded.__getitem__, values))
-            if is_dict:
-                keys = tuple(o)
-                frame = frames.get((indent, keys)) or _frame(keys, indent, encoded, frames)
-                frame[1::2] = cells
-                out.append("".join(frame))
-            else:
-                out.append("[" + inner + ("," + inner).join(cells) + indent + "]" if cells else "[]")
-            return
-        except TypeError:
-            pass
-    if values is None or not any(isinstance(v, _CONTAINERS) and v for v in values):
-        text = _row_encoder(inner).encode(o)
-        out.append(text[0] + inner + text[1:-1] + indent + text[-1] if values else text)
-        return
-    start, sep = ("{" if is_dict else "[") + inner, "," + inner
-    for key, value in o.items() if is_dict else enumerate(o):
-        if isinstance(key, str):  # a dict key: a list's keys are its int indices
-            out.append(start + encoded[key] + ": ")
-        elif is_dict:  # the key as json writes it, str() of a number included
-            out.append(start + _row_encoder(inner).encode({key: None})[1:-len(": null}")] + ": ")
-        else:
-            out.append(start)
-        start = sep
-        _write(value, inner, out, stream, encoded, frames)
-        if len(out) >= _PIECES:
-            stream.writelines(out)
-            out.clear()
-    out.append(indent + ("}" if is_dict else "]"))
-
-
-def _frame(keys, indent, encoded, frames):
-    """The pieces of a dict row with these string keys, a None slot after each key, kept in frames."""
-    inner = indent + "  "
-    pieces = [("{" if i == 0 else ",") + inner + encoded[k] + ": " for i, k in enumerate(keys)]
-    frame = [x for piece in pieces for x in (piece, None)]
-    frame.append(indent + "}" if keys else "{}")
-    frames[indent, keys] = frame
-    return frame
-
-
-@functools.cache
-def _row_encoder(inner):
-    return json.JSONEncoder(ensure_ascii=False, separators=("," + inner, ": "))

@@ -407,15 +407,27 @@ class TestCli:
             stats.append(json.loads(out[out.index('{\n  "nodes"'):]))
         assert stats[0] == stats[1]
         assert (stats[1]["nodes"], stats[1]["truncated"]) == (45, False)
-        # the first line stays as it was; the next says the list may be incomplete
+        # the first line stays as it was; the next says where the search stopped
         assert main(["mine", "-i", str(path), "--limit", "2", "--stats-json"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[:3] == [
             "satisfiable: 2 structure(s) found",
-            "truncated at --limit 2: more structures may exist",
+            "search stopped at --limit 2",
             "--- structure 1 ---",
         ]
         assert json.loads(out[out.index('{\n  "nodes"'):])["truncated"] is True
+
+    @pytest.mark.parametrize("limit, stopped", [(19, True), (20, False)])
+    def test_mine_stopped_at_the_last_structure(self, capsys, limit, stopped):
+        # kleene6 has 19 structures under any negation: a search that stops
+        # at its 19th leaf cannot tell whether more exist, so it says only
+        # where it stopped
+        argv = ["mine", "-i", "builtin:kleene6", "--no-require-negation", "--limit", str(limit)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "satisfiable: 19 structure(s) found"
+        assert (lines[1] == f"search stopped at --limit {limit}") is stopped
+        assert lines[1 + stopped] == "--- structure 1 ---"
 
     def test_unknown_builtin_lists_the_builtins(self, capsys):
         assert main(["mine", "-i", "builtin:nope"]) == 2
@@ -517,6 +529,38 @@ class TestCli:
         extended = capsys.readouterr().out
         assert main(["show", "-i", str(saved), "--format", fmt]) == 0
         assert capsys.readouterr().out == extended
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cor1", "--n", "5"],
+            ["thm1", "-i", "builtin:n5"],
+            ["thm1", "-i", "builtin:kleene6", "--mode", "reusefour"],
+            ["thm2", "-i", "builtin:pseudokleene9", "--n", "2"],
+            ["thm3", "-i", "builtin:n5", "--n", "2", "--k", "1"],
+            ["lemma2", "-i", "builtin:cube8"],
+            ["thm5", "-i", "builtin:cube16", "--n", "2"],
+        ],
+    )
+    def test_extend_json_is_what_json_dumps_writes(self, capsys, argv):
+        assert main(["extend", *argv, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+
+    def test_show_json_is_what_json_dumps_writes(self, tmp_path, capsys):
+        assert main(["extend", "thm1", "-i", "builtin:n5", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc["provenance"] = {
+            "construction": "Łukasiewicz ⊙ → ☃",
+            "parameters": {"n": 3, "x": -1.5, "big": 10**20, "none": None, "ok": True},
+            "nested": [[1, [2.5, []]], {}, [{"é": ["𝔹", 0]}]],
+        }
+        path = tmp_path / "provenance.json"
+        path.write_text(json.dumps(doc))
+        assert main(["show", "-i", str(path), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == doc
+        assert out == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
     def test_show_csv(self, n5_file, capsys):
         assert main(["show", "-i", n5_file, "--format", "json"]) == 0

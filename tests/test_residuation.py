@@ -28,6 +28,7 @@ from resposet.fixtures import (
     cube_boolean,
     kleene_six,
     kleene_six_involuted,
+    letter_cube_boolean,
     n5,
     n5_involuted,
     pseudo_kleene_nine,
@@ -542,3 +543,56 @@ class TestWitnessReplay:
             assert not report.overall
             for c in report.failed():
                 assert not replay_check(bad, c.name, c.witness)
+
+
+def relisted(s, seed):
+    """s with its elements listed in a seeded random order: the same tables on the same labels."""
+    p = s.poset
+    q = poset_from_covers(random.Random(seed).sample(p.elements, len(p)), p.covers())
+    old = np.array([p.index(x) for x in q.elements])  # new index -> old
+    new = np.argsort(old)  # old index -> new
+    return ResiduatedStructure(q, s.unit, new[s.odot[np.ix_(old, old)]], new[s.arrow[np.ix_(old, old)]])
+
+
+class TestRelistedVerification:
+    """A mutated structure fails the same checks whatever order lists its elements.
+
+    The least witness may differ between the two orders, so only the
+    names of the failed checks are compared; each witness replays on its
+    own structure.
+    """
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # the three golden structures of acceptance criteria 1-3
+            lambda: extend_theorem1(n5_involuted(), ExtensionMode.REUSE_BOUNDS).structure,
+            lambda: chain_residuation(5).structure,
+            lambda: extend_boolean_theorem5(letter_cube_boolean(), 2).structure,
+            # from GALOIS_FROM elements the Galois test gives adjointness its verdict
+            lambda: chain_residuation(GALOIS_FROM + 10).structure,
+        ],
+        ids=["pentagon7", "chain5", "cube12", "cor1-60"],
+    )
+    def test_same_failed_checks_on_a_shuffled_order(self, build):
+        s = build()
+        n = len(s.elements)
+        for seed in range(2):
+            t = relisted(s, seed)
+            assert t.elements != s.elements
+            assert verify_residuated(t).overall
+            for which in ("odot", "arrow"):
+                assert t.table_as_labels(which) == s.table_as_labels(which)
+        rng = random.Random(n)
+        names = set()
+        for seed, kind in enumerate(("odot-symmetric", "odot", "arrow") * 4):
+            bad = mutate(s, rng, kind)
+            failed_names = []
+            for t in (bad, relisted(bad, seed)):
+                checks = [c for check in (verify_residuated, check_integrality, check_lemma1) for c in check(t).failed()]
+                for c in checks:
+                    assert not replay_check(t, c.name, c.witness), (c, kind)
+                failed_names.append({c.name for c in checks})
+            assert failed_names[0] == failed_names[1], kind
+            names |= failed_names[0]
+        assert "adjointness" in names and len(names) > 1

@@ -70,8 +70,10 @@ def test_dump_writes_what_json_dump_writes(bundle):
     assert dump_text(doc) == json_dump_text(doc)
 
 
-# Rows that must leave the cached-frame path for json's encoder, or share a
-# frame or an encoded string only where json writes the same text.
+# Fields other than the tables go through json.dumps, which must keep
+# numbers, booleans and None apart (1 == 1.0 == True) and write str() of
+# a non-string key; table rows share a frame or an encoded string only
+# where json writes the same text.
 @pytest.mark.parametrize(
     "doc",
     [
@@ -86,17 +88,31 @@ def test_dump_writes_what_json_dump_writes(bundle):
         {"s": {"1": "true"}, "t": {1: True}},
         {"t": {1: True}, "s": {"1": "true"}},
         {"a": {"1": "1"}, "b": {1: 1.0}, "c": {True: 1}, "d": {"1": "1"}},
-        [{"1": "true"}, {1: True}, {"1": "true"}],
         {"a": "b", "x": {"a": "b", "y": {"a": "b"}}},
         {"x": {"k": "v", "j": "w"}, "y": [{"k": "v", "j": "w"}, {"k": "w", "j": "v"}]},
         {},
         {"a": {}},
         {"a": {}, "b": {"c": "d"}, "e": [{}]},
-        # more pieces than dump holds before it writes them, at two depths
         {"a": [[str(i), i] for i in range(100)], "b": {"c": [{"d": str(i)} for i in range(100)]}},
+        # rows listing their keys in different orders, and a row that
+        # recurs in a later table
+        {
+            "odot": {"a": {"a": "a", "b": "b"}, "b": {"b": "a", "a": "b"}, "c": {"a": "b", "b": "a"}},
+            "arrow": {"é": {"b": "a", "a": "b"}, "\n": {"a": "\"", "b": "é"}},
+        },
+        {"odot": {"a": {}, "b": {"a": "b"}, "c": {}}, "arrow": {"a": {"b": "a"}}},
+        {"elements": [], "covers": [], "unit": "1", "odot": {}, "arrow": {}},
+        {
+            "elements": ["0", "1"],
+            "provenance": {
+                "n": 3, "x": -1.5, "big": 10**30, "inf": float("inf"), "none": None,
+                "flags": [True, False], 1: "one", 2.5: "half", None: "null", False: 0,
+                "nested": [[1, [2.0, []]], {}, [{"k": ["é", None]}]],
+            },
+        },
     ],
 )
-def test_dump_matches_json_dump_at_the_frame_gate(doc):
+def test_dump_matches_json_dump_field_by_field(doc):
     assert dump_text(doc) == json_dump_text(doc)
 
 
