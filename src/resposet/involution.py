@@ -115,6 +115,15 @@ class InvolutedPoset:
     def elements(self):
         return self.poset.elements
 
+    def relisted(self, order) -> "InvolutedPoset":
+        """The involuted poset on poset.relisted(order), its image permuted by index, with no axiom evaluated:
+        a relisted antitone involution is still one, and its passing report, naming no label, is carried over."""
+        q = self.poset.relisted(order)
+        rank = {x: k for k, x in enumerate(order)}  # the new index of each old one
+        image = tuple(rank[self.involution.image[x]] for x in order)
+        q._involution_reports[image] = check_antitone_involution(self.poset, self.involution)
+        return InvolutedPoset(q, Involution(q.elements, image))
+
 
 def involuted(p: Poset, mapping) -> InvolutedPoset:
     """Bundle p with an Involution or a label mapping, checked once per poset object and image."""

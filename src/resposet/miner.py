@@ -12,8 +12,8 @@ the axioms:
                  a . j and i . b for the lower covers a of i and b of j,
                  and each candidate outside the mask is pruned.  The
                  search runs on a linear extension: a carrier listed in
-                 another order is searched relabelled to one, and its
-                 structures are mapped back to the input's labels
+                 another order is relisted to one in the same call, and
+                 each structure is mapped back once to the input's labels
   negation-zero: when the derived negation must equal the involution,
                  x . y = 0 exactly when x <= y'
   associativity: (a . b) . c = a . (b . c) on every triple whose four
@@ -50,8 +50,7 @@ from itertools import chain, compress, product
 import numpy as np
 
 from .errors import CarrierTooLarge, LimitZero, Unbounded
-from .involution import InvolutedPoset, involuted
-from .order import Poset
+from .involution import InvolutedPoset
 from .residuation import SLAB_CELLS, ResiduatedStructure, _associative, _residuals
 
 # The most carrier elements the miner searches.  Its set-up holds up to
@@ -133,7 +132,7 @@ class MinerOutcome:
 
 
 def _free_cells(ip: InvolutedPoset, limit):
-    """Check the search arguments; return the top and the (i, j), i <= j, cells off the unit row.
+    """Check the limit and the top; return the top and the (i, j), i <= j, cells off the unit row.
 
     The cells come as a list of pairs in row-major order.
     """
@@ -141,8 +140,6 @@ def _free_cells(ip: InvolutedPoset, limit):
         raise LimitZero("result limit must be positive")
     p = ip.poset
     n = len(p)
-    if n > MAX_CARRIER:
-        raise CarrierTooLarge(f"miner: {n} carrier elements exceed the limit {MAX_CARRIER}")
     top = p.bounds()[1]
     if top is None:
         raise Unbounded("the miner needs a greatest element to serve as unit")
@@ -161,22 +158,27 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     The unit is the top element.  When require_negation is set, only
     structures whose derived negation equals the involution are
     accepted.  Results appear in lexicographic order of the monoid table.
-    An input not listed in a linear extension is searched relabelled to
-    one, so a truncated search keeps that search's first limit structures.
+    An input not listed in a linear extension is relisted to one in the same
+    call, so a truncated search keeps the relisted search's first structures.
     """
+    given, order = ip.poset, None
+    n = len(given)
+    if n > MAX_CARRIER:  # before any array is built
+        raise CarrierTooLarge(f"miner: {n} carrier elements exceed the limit {MAX_CARRIER}")
+    columns = given.leq_matrix.T.tolist()
+    # a linear extension lists no element of x's down-set after x; the stable
+    # sort by down-set size is one, as a < b gives down(a) within down(b)
+    if any(True in column[x + 1:] for x, column in enumerate(columns)):
+        order = np.argsort(given.leq_matrix.sum(axis=0), kind="stable")
+        ip = ip.relisted(order)
+        columns = ip.poset.leq_matrix.T.tolist()
     top, cells = _free_cells(ip, limit)
     p = ip.poset
-    n = len(p)
     u = p.index(top)
     stats = MinerStats()
 
-    rows, columns = p.leq_matrix.tolist(), p.leq_matrix.T.tolist()
+    rows = p.leq_matrix.tolist()
     down = [list(compress(range(n), column)) for column in columns]
-    # the element order is a linear extension (a < b gives index a < index
-    # b) when each x ends its down-set; otherwise search one, the stable
-    # sort by down-set size, as a < b gives down(a) within down(b)
-    if any(down[x][-1] != x for x in range(n)):
-        return _relabelled(ip, sorted(range(n), key=lambda x: len(down[x])), require_negation, limit)
     inv = ip.involution.image
     zero = p.index(p.bounds()[0]) if require_negation else -1
     # x . y is a common lower bound of x and y (integrality) and, when the
@@ -381,19 +383,11 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
         check_leaves()
     stats.nodes = nodes
     stats.prunes.update((rule, count) for rule, count in pruned.items() if count)
+    if order is not None:  # back to the input's poset, lexicographic in its table
+        back = np.ix_(*[np.argsort(order)] * 2)
+        results = sorted((ResiduatedStructure(given, top, order[s.odot][back], order[s.arrow][back])
+                          for s in results), key=lambda s: s.odot.tolist())
     return MinerOutcome(bool(results), results, stats, len(results) >= limit)
-
-
-def _relabelled(ip: InvolutedPoset, order, require_negation, limit) -> MinerOutcome:
-    """find_residuations on ip listed in order, a linear extension, its structures mapped back to ip's labels."""
-    p = ip.poset
-    q = Poset(tuple(p.elements[x] for x in order), p.leq_matrix[np.ix_(order, order)])
-    outcome = find_residuations(involuted(q, ip.involution.mapping), require_negation, limit)
-    back = np.ix_(*[np.argsort(order)] * 2)
-    mapped = (ResiduatedStructure(p, s.unit, np.take(order, s.odot)[back], np.take(order, s.arrow)[back])
-              for s in outcome.structures)
-    outcome.structures = sorted(mapped, key=lambda s: s.odot.tolist())  # lexicographic in ip's table
-    return outcome
 
 
 def find_residuations_naive(ip: InvolutedPoset, require_negation=True, limit=10**9) -> MinerOutcome:

@@ -168,6 +168,10 @@ class Poset:
         """Same elements, reversed order."""
         return Poset(self.elements, self.leq_matrix.T.copy())
 
+    def relisted(self, order) -> "Poset":
+        """The poset listed as elements[order[0]], elements[order[1]], ..., order a permutation: no closure."""
+        return Poset(tuple(self.elements[i] for i in order), self.leq_matrix[np.ix_(order, order)])
+
     def bounds(self):
         """(bottom, top), each None when absent."""
         return self._bounds

@@ -565,7 +565,7 @@ class TestStructuralEqualAgainstPermutations:
 
 def _shuffled(p: Poset, seed):
     """p with its elements listed in a seeded random order."""
-    return poset_from_covers(random.Random(seed).sample(p.elements, len(p)), p.covers())
+    return p.relisted(random.Random(seed).sample(range(len(p)), len(p)))
 
 
 def _same_output(a, b):

@@ -7,6 +7,8 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+import resposet.involution
+import resposet.miner
 from resposet import (
     chain_residuation,
     enumerate_antitone_involutions,
@@ -16,6 +18,7 @@ from resposet import (
     extend_theorem3,
     find_residuations,
     find_residuations_naive,
+    Involution,
     involuted,
     structural_equal,
     verify_residuated,
@@ -36,7 +39,7 @@ from resposet.fixtures import (
     pseudo_kleene_nine_involuted,
 )
 from resposet.miner import MAX_CARRIER, NAIVE_MAX, MinerOutcome, MinerStats, _free_cells, _leaf_check
-from resposet.order import poset_from_covers, poset_from_relation
+from resposet.order import _isomorphisms, poset_from_covers, poset_from_relation
 from resposet.residuation import SLAB_CELLS, ResiduatedStructure, _negation, _residuals
 
 
@@ -50,25 +53,19 @@ def reversed_order(ip):
     """The same involuted poset with its elements listed in reverse.
 
     On a carrier with a comparable pair the element order is then not a
-    linear extension, and the miner searches the carrier relabelled to one.
+    linear extension, and the miner searches the carrier relisted to one.
     """
-    p = ip.poset
-    return involuted(poset_from_covers(reversed(p.elements), p.covers()), ip.involution.mapping)
+    return ip.relisted(range(len(ip.poset) - 1, -1, -1))
 
 
 def shuffled_order(ip, seed=0):
     """The same involuted poset with its elements listed in a seeded random order."""
-    p = ip.poset
-    elements = random.Random(seed).sample(p.elements, len(p))
-    return involuted(poset_from_covers(elements, p.covers()), ip.involution.mapping)
+    return ip.relisted(random.Random(seed).sample(range(len(ip.poset)), len(ip.poset)))
 
 
 def searched_order(ip):
     """The same involuted poset listed in a stable sort by down-set size, the linear extension the miner searches."""
-    p = ip.poset
-    sizes = p.leq_matrix.sum(axis=0)
-    elements = sorted(p.elements, key=lambda x: sizes[p.index(x)])
-    return involuted(poset_from_covers(elements, p.covers()), ip.involution.mapping)
+    return ip.relisted(np.argsort(ip.poset.leq_matrix.sum(axis=0), kind="stable"))
 
 
 def stacked_antichains():
@@ -613,8 +610,8 @@ class TestRelabelling:
         for ip in bounded_pairs_and_extensions(NAIVE_MAX):
             if len(ip.poset) > NAIVE_MAX:
                 continue
-            for elements in permutations(ip.poset.elements):
-                q = involuted(poset_from_covers(elements, ip.poset.covers()), ip.involution.mapping)
+            for order in permutations(range(len(ip.poset))):
+                q = ip.relisted(order)
                 kinds[order_kind(q)] += 1
                 for require_negation in (True, False):
                     fast = find_residuations(q, require_negation=require_negation, limit=ALL)
@@ -634,6 +631,57 @@ class TestRelabelling:
         relabelled = find_residuations(searched_order(q), require_negation=require_negation, limit=1)
         assert first.truncated and labelled(first) == labelled(relabelled)
         assert first.structures != find_residuations(q, require_negation=require_negation, limit=ALL).structures[:1]
+
+    def test_conjugate_involutions_give_the_automorphic_images(self):
+        # conjugacy: for an automorphism sigma of P, the structures on
+        # (P, sigma ' sigma^-1) are the sigma-images of those on (P, ').  P
+        # relisted by sigma^-1 has P's own matrix, and its involution's
+        # image, put back on P's labels, is sigma ' sigma^-1
+        automorphisms, structures = Counter(), Counter()
+        for m in range(1, 6):
+            for q in posets_of_size(m):
+                for inv in enumerate_antitone_involutions(q):
+                    ip = bounded_sum(q, inv)
+                    p = ip.poset
+                    modes = (True, False) if len(p) <= 6 else (True,)
+                    base = {mode: find_residuations(ip, require_negation=mode, limit=ALL).structures for mode in modes}
+                    for sigma in _isomorphisms(p.leq_matrix, p.leq_matrix):
+                        if (sigma == np.arange(len(p))).all():
+                            continue
+                        back = np.argsort(sigma)
+                        relisted = ip.relisted(back)
+                        assert np.array_equal(relisted.poset.leq_matrix, p.leq_matrix)
+                        conjugate = involuted(p, Involution(p.elements, relisted.involution.image))
+                        grid = np.ix_(back, back)
+                        for mode in modes:
+                            images = [
+                                ResiduatedStructure(p, s.unit, sigma[s.odot][grid], sigma[s.arrow][grid])
+                                for s in base[mode]
+                            ]
+                            got = find_residuations(conjugate, require_negation=mode, limit=ALL).structures
+                            assert got == sorted(images, key=lambda s: s.odot.tolist())
+                            automorphisms[mode] += 1
+                            structures[mode] += len(images)
+        assert (automorphisms, structures) == ({True: 3416, False: 264}, {True: 26, False: 40})
+
+    @pytest.mark.parametrize("require_negation", [True, False])
+    @pytest.mark.parametrize("relist", [reversed_order, shuffled_order], ids=["reversed", "shuffled"])
+    def test_out_of_order_search_is_one_call_with_no_axiom_evaluated(self, relist, require_negation, monkeypatch):
+        q = relist(kleene_six_involuted())
+        assert order_kind(q) != "extension"
+        calls = Counter()
+
+        def spy(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(resposet.involution, "_antitone", spy("antitone", resposet.involution._antitone))
+        monkeypatch.setattr(resposet.miner, "find_residuations", spy("search", resposet.miner.find_residuations))
+        outcome = resposet.miner.find_residuations(q, require_negation=require_negation, limit=ALL)
+        assert calls == {"search": 1}
+        assert outcome.structures and all(s.poset is q.poset for s in outcome.structures)
 
 
 def lattice_carriers():

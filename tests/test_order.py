@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -6,12 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from resposet import (
+    Involution,
     Poset,
     chain_poset,
+    check_antitone_involution,
+    enumerate_antitone_involutions,
+    involuted,
     poset_from_covers,
     poset_from_relation,
 )
 from resposet import order
+from resposet.catalog import posets_up_to_size
 from resposet.errors import CycleDetected, DuplicateLabel, SelfCover, UnknownLabel
 from resposet.constructions import extend_boolean_theorem5
 from resposet.fixtures import antichain, cube_boolean, letter_cube_boolean, n5
@@ -224,6 +230,40 @@ class TestRoundTrip:
             assert not (m & m.T & ~np.eye(len(p), dtype=bool)).any()
             closed = m | (m @ m)
             assert np.array_equal(closed, m)
+
+
+def relistings(p):
+    """p's reversal and two seeded shuffles, as orders of its indices."""
+    n = len(p)
+    return [list(range(n - 1, -1, -1)), *(random.Random(seed).sample(range(n), n) for seed in (0, 1))]
+
+
+class TestRelisted:
+    def test_same_order_as_the_closure_of_the_covers(self):
+        count = 0
+        for p in posets_up_to_size(5):
+            for listing in relistings(p):
+                q = p.relisted(listing)
+                assert q == poset_from_covers(q.elements, p.covers())
+                assert q.relisted(np.argsort(listing)) == p
+                count += 1
+        assert count == 3 * 87
+
+    def test_relisted_involutions_pass_a_fresh_check(self):
+        # the relisted carrier holds the input's report; a distinct but
+        # equal Poset evaluates both axioms anew
+        count = 0
+        for p in posets_up_to_size(5):
+            for inv in enumerate_antitone_involutions(p):
+                ip = involuted(p, inv)
+                for listing in relistings(p):
+                    iq = ip.relisted(listing)
+                    assert iq.poset == p.relisted(listing) and iq.involution.mapping == inv.mapping
+                    fresh = Poset(iq.elements, iq.poset.leq_matrix.copy())
+                    assert not fresh._involution_reports
+                    assert check_antitone_involution(fresh, Involution(fresh.elements, iq.involution.image)).overall
+                    count += 1
+        assert count == 3 * 82
 
 
 @st.composite

@@ -547,11 +547,9 @@ class TestWitnessReplay:
 
 def relisted(s, seed):
     """s with its elements listed in a seeded random order: the same tables on the same labels."""
-    p = s.poset
-    q = poset_from_covers(random.Random(seed).sample(p.elements, len(p)), p.covers())
-    old = np.array([p.index(x) for x in q.elements])  # new index -> old
-    new = np.argsort(old)  # old index -> new
-    return ResiduatedStructure(q, s.unit, new[s.odot[np.ix_(old, old)]], new[s.arrow[np.ix_(old, old)]])
+    order = random.Random(seed).sample(range(len(s.elements)), len(s.elements))  # new index -> old
+    grid, new = np.ix_(order, order), np.argsort(order)  # new: old index -> new
+    return ResiduatedStructure(s.poset.relisted(order), s.unit, new[s.odot[grid]], new[s.arrow[grid]])
 
 
 class TestRelistedVerification:
