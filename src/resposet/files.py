@@ -95,24 +95,32 @@ def parse_structure(doc) -> Bundle:
     if unknown:
         raise SchemaViolation(f"unknown field {unknown[0]!r}", _pointer(unknown[0]))
 
+    # each loop passes the common item inline and calls the checks that
+    # build a message and a pointer only for the others
     elements = _expect(doc, "elements", list)
     for i, x in enumerate(elements):
-        _check_label(x, "elements", i)
+        # an ASCII label encodes as UTF-8, and one not starting with "#" is unreserved
+        if not (isinstance(x, str) and x.isascii() and (x[:1] != "#" or _UNRESERVED.match(x))):
+            _check_label(x, "elements", i)
     covers = _expect(doc, "covers", list)
     for i, pair in enumerate(covers):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaViolation("covers entries must be 2-arrays", f"/covers/{i}")
-        _string(pair[0], "covers", i, 0)
-        _string(pair[1], "covers", i, 1)
+        x, y = pair
+        if not (isinstance(x, str) and isinstance(y, str)):
+            _string(x, "covers", i, 0)
+            _string(y, "covers", i, 1)
     poset = poset_from_relation(elements, covers)
 
     ip = None
     if "involution" in doc:
         mapping = _expect(doc, "involution", dict)
+        index = poset._index
         for x, y in mapping.items():
-            if x not in poset:
+            if x not in index:
                 raise SchemaViolation(f"involution key {x!r} is not an element", "/involution")
-            _string(y, "involution", x)
+            if not isinstance(y, str):
+                _string(y, "involution", x)
         ip = involuted(poset, mapping)
 
     structure = None
@@ -230,11 +238,13 @@ def structure_to_doc(s: ResiduatedStructure, involution=None, provenance=None) -
 def dump(doc: dict, stream):
     """Write a to_doc document as json.dump(doc, stream, indent=2, ensure_ascii=False) does, and a newline.
 
-    The odot and arrow tables repeat their n labels in n^2 cells, so they
-    go to the stream one row per write: each label is encoded once per
-    call, and each row is joined from a frame of its encoded keys, cached
-    per key sequence.  Every other field is json.dumps's text, indented
-    one level.
+    Every label is encoded once per call, through one memo.  The odot and
+    arrow tables repeat their n labels in n^2 cells, so they go to the
+    stream one row per write, each row joined from a frame of its encoded
+    keys, cached per key sequence.  The label fields (elements, covers,
+    involution and unit) are joined from the memo too; provenance, and a
+    label field whose value is not labels in the schema's shape, is
+    json.dumps's text, indented one level.
     """
     encoded, frames = _Encoded(), {}
     start = "{\n  "
@@ -242,7 +252,11 @@ def dump(doc: dict, stream):
         stream.write(start + encoded[key] + ": ")
         start = ",\n  "
         if key not in ("odot", "arrow") or not value:
-            stream.write(json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  "))
+            try:
+                text = _label_field(key, value, encoded)
+            except TypeError:
+                text = json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+            stream.write(text)
             continue
         sep = "{\n    "
         for x, row in value.items():
@@ -259,6 +273,28 @@ def dump(doc: dict, stream):
             sep = ",\n    "
         stream.write("\n  }")
     stream.write("\n}\n" if doc else "{}\n")
+
+
+def _label_field(key, value, encoded):
+    """The text of a label field, indented one level; TypeError unless value is labels in the field's shape."""
+    if key == "unit":
+        return encoded[value]
+    kind = type(value)
+    if key == "elements" and kind is list:
+        items = list(map(encoded.__getitem__, value))
+    elif key == "covers" and kind is list:
+        items = []
+        for pair in value:
+            if type(pair) is not list or len(pair) != 2:
+                raise TypeError("a cover is a 2-item list")
+            x, y = pair
+            items.append(f"[\n      {encoded[x]},\n      {encoded[y]}\n    ]")
+    elif key == "involution" and kind is dict:
+        items = [f"{encoded[x]}: {encoded[y]}" for x, y in value.items()]
+    else:
+        raise TypeError(f"field {key!r} does not hold labels in the schema's shape")
+    opening, closing = "{}" if kind is dict else "[]"
+    return opening + "\n    " + ",\n    ".join(items) + "\n  " + closing if items else opening + closing
 
 
 class _Encoded(dict):

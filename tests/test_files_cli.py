@@ -185,6 +185,10 @@ class TestSchema:
             ({"elements": ["#c1", "#c", 2], "covers": []}, ReservedLabel,
              "label '#c': the '#' prefix is reserved for generated chain elements"),
             ({"elements": ["a", "a", 1], "covers": []}, SchemaViolation, "/elements/2: labels must be strings"),
+            ({"elements": ["é", "#c1", "#x"], "covers": []}, ReservedLabel,
+             "label '#x': the '#' prefix is reserved for generated chain elements"),
+            ({"elements": ["é", "ü\ud800", 1], "covers": []}, SchemaViolation,
+             "/elements/1: a lone surrogate cannot be written as UTF-8"),
             ({"elements": ["a\ud800", "b"], "covers": [["a"]]}, SchemaViolation,
              "/elements/0: a lone surrogate cannot be written as UTF-8"),
             ({"elements": ["a", "a"], "covers": [["a"]]}, SchemaViolation,
@@ -218,6 +222,8 @@ class TestSchema:
             "reserved-with-surrogate",
             "bad-generated-before-non-string",
             "duplicate-before-non-string",
+            "non-ascii-and-generated-before-reserved",
+            "non-ascii-before-surrogate",
             "surrogate-before-bad-cover",
             "duplicate-before-bad-cover",
             "non-string-cover-before-bad-cover",

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from resposet.files import Bundle, dump, to_doc
+from resposet.constructions import chain_residuation
+from resposet.files import Bundle, dump, structure_to_doc, to_doc
 from resposet.involution import involuted
 from resposet.order import chain_poset, poset_from_covers
 from resposet.render import ARROW, ODOT, render_tables
@@ -102,6 +103,21 @@ def test_dump_writes_what_json_dump_writes(bundle):
         },
         {"odot": {"a": {}, "b": {"a": "b"}, "c": {}}, "arrow": {"a": {"b": "a"}}},
         {"elements": [], "covers": [], "unit": "1", "odot": {}, "arrow": {}},
+        # label fields that hold no labels in the schema's shape go to json.dumps
+        {"elements": [1, None, True, 1.5]},
+        {"elements": ["a", ["b", "c"]], "covers": [["a", "b"]]},
+        {"covers": [("a", "b")]},
+        {"covers": [["a", "b"], ["a", "b", "c"]]},
+        {"covers": [["a"]]},
+        {"covers": ["ab"]},
+        {"covers": [["a", 1]]},
+        {"involution": {1: "a", "a": "b"}},
+        {"involution": {None: "a"}},
+        {"involution": {"a": ["b"], "b": "a"}},
+        {"elements": ["a"], "unit": 1},
+        {"elements": ["a"], "unit": ["a"]},
+        {"elements": [], "covers": [], "involution": {}, "unit": ""},
+        {"elements": [[]], "covers": [[]], "involution": {"a": {}}, "unit": {}},
         {
             "elements": ["0", "1"],
             "provenance": {
@@ -114,6 +130,26 @@ def test_dump_writes_what_json_dump_writes(bundle):
 )
 def test_dump_matches_json_dump_field_by_field(doc):
     assert dump_text(doc) == json_dump_text(doc)
+
+
+@pytest.mark.parametrize("with_provenance", [False, True])
+def test_only_provenance_goes_through_json_dumps(monkeypatch, with_provenance):
+    # json.dumps with an indent runs json's pure-Python encoder: the label
+    # fields and the tables are joined from the encoded labels instead
+    res = chain_residuation(5, verify=False)
+    doc = to_doc(res) if with_provenance else structure_to_doc(res.structure, res.involution)
+    assert ("provenance" in doc) is with_provenance
+    real, calls = json.dumps, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("resposet.files.json.dumps", counted)
+    text = dump_text(doc)
+    assert calls == ([(doc["provenance"],)] if with_provenance else [])
+    monkeypatch.undo()
+    assert text == json_dump_text(doc)
 
 
 @given(structures())
