@@ -244,7 +244,9 @@ def dump(doc: dict, stream):
     keys, cached per key sequence.  The label fields (elements, covers,
     involution and unit) are joined from the memo too; provenance, and a
     label field whose value is not labels in the schema's shape, is
-    json.dumps's text, indented one level.
+    json.dumps's text, indented one level.  The labels of the odot and
+    arrow tables must be strings, as the schema asks: a table with any
+    other label raises TypeError, where json.dump would write it.
     """
     encoded, frames = _Encoded(), {}
     start = "{\n  "

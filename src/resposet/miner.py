@@ -44,6 +44,7 @@ checks all its tables as one stack with the same leaf check, and counts
 each table it rejects under its prune rule.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress, product
 
@@ -165,20 +166,17 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     n = len(given)
     if n > MAX_CARRIER:  # before any array is built
         raise CarrierTooLarge(f"miner: {n} carrier elements exceed the limit {MAX_CARRIER}")
-    columns = given.leq_matrix.T.tolist()
     # a linear extension lists no element of x's down-set after x; the stable
     # sort by down-set size is one, as a < b gives down(a) within down(b)
-    if any(True in column[x + 1:] for x, column in enumerate(columns)):
+    if np.tril(given.leq_matrix, -1).any():
         order = np.argsort(given.leq_matrix.sum(axis=0), kind="stable")
         ip = ip.relisted(order)
-        columns = ip.poset.leq_matrix.T.tolist()
     top, cells = _free_cells(ip, limit)
     p = ip.poset
     u = p.index(top)
-    stats = MinerStats()
 
     rows = p.leq_matrix.tolist()
-    down = [list(compress(range(n), column)) for column in columns]
+    down = [list(compress(range(n), column)) for column in p.leq_matrix.T.tolist()]
     inv = ip.involution.image
     zero = p.index(p.bounds()[0]) if require_negation else -1
     # x . y is a common lower bound of x and y (integrality) and, when the
@@ -301,23 +299,26 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
         return True
 
     nodes = 0
-    pruned = {"monotonicity": 0, "associativity": 0, "joins": 0}
-    # each cell's untried candidates and its bound, None until the search
-    # enters the cell and again once it leaves it back up; the cells before
-    # it stay fixed while the search is there
-    pending = [None] * len(cells)
-    bounds = [0] * len(cells)
+    pruned = defaultdict(int)  # every prune by rule; a Counter's += takes about three times as long
+    # each cell's (untried candidates, bound), None until the search enters
+    # the cell and again once it leaves it back up; the cells before it stay
+    # fixed while the search is there
+    entries = [None] * len(cells)
 
     def advance(pos):
-        """Assign cell pos its next candidate that passes every check; False when none is left."""
+        """Give cell pos its next candidate that passes every check; False, the cell cleared, when none is left."""
         nonlocal nodes
         i, j = cells[pos]
         row_i, row_j, side = t[i], t[j], sides[pos]
-        if pending[pos] is None:
-            pending[pos] = iter(candidates[pos])
-            bounds[pos] = bound(i, j)
-        allowed = bounds[pos]
-        for v in pending[pos]:
+        if entries[pos] is not None:  # back from the child: take the cell's value out
+            del preimage[row_i[j]][-len(side):]
+        elif candidates[pos]:
+            entries[pos] = iter(candidates[pos]), bound(i, j)
+        else:
+            pruned["empty-cell"] += 1
+            return False
+        untried, allowed = entries[pos]
+        for v in untried:
             nodes += 1
             if not allowed >> v & 1:
                 pruned["monotonicity"] += 1
@@ -332,7 +333,7 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
                 return True
             del preimage[v][-len(side):]
         row_i[j] = row_j[i] = -1
-        pending[pos] = None
+        entries[pos] = None
         return False
 
     # leaves wait on a stack, checked when it fills a slab, when it holds as
@@ -348,46 +349,31 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     def check_leaves():
         for leaf in verdicts(np.frombuffer(b"".join(leaves), np.uint8).reshape(-1, n, n)):
             if isinstance(leaf, str):
-                stats.prune(leaf)
+                pruned[leaf] += 1
             else:
                 results.append(leaf)
         leaves.clear()
 
     # depth-first over an explicit stack, so a carrier whose free cells
-    # outnumber the recursion limit is searched too; pos is the depth,
-    # one cell per level
+    # outnumber the recursion limit is searched too; pos is the depth, one
+    # cell per level, and each pass steps one level down or up.  The search
+    # stops at the leaf of its limit-th result, a one-point carrier's root too
     pos = 0
-    while True:
+    while pos >= 0 and len(results) < limit:
         if pos == len(cells):
             leaves.append(bytes(chain.from_iterable(t)))
             if len(leaves) >= min(batch, limit - len(results)):
                 check_leaves()
-        elif not candidates[pos]:
-            stats.prune("empty-cell")
-        elif advance(pos):
-            pos += 1
-            continue
-        # results grow only at a leaf, so the search stops at the leaf of
-        # its limit-th result, the one-point carrier's root included
-        if len(results) >= limit:
-            break
-        # back to the parent's cell, which tries its next candidate
-        pos -= 1
-        if pos < 0:
-            break
-        i, j = cells[pos]
-        v = t[i][j]
-        t[i][j] = t[j][i] = -1
-        del preimage[v][-len(sides[pos]):]
+            pos -= 1
+        else:
+            pos += 1 if advance(pos) else -1
     if leaves:  # fewer than the results still wanted
         check_leaves()
-    stats.nodes = nodes
-    stats.prunes.update((rule, count) for rule, count in pruned.items() if count)
     if order is not None:  # back to the input's poset, lexicographic in its table
         back = np.ix_(*[np.argsort(order)] * 2)
         results = sorted((ResiduatedStructure(given, top, order[s.odot][back], order[s.arrow][back])
                           for s in results), key=lambda s: s.odot.tolist())
-    return MinerOutcome(bool(results), results, stats, len(results) >= limit)
+    return MinerOutcome(bool(results), results, MinerStats(nodes, dict(pruned)), len(results) >= limit)
 
 
 def find_residuations_naive(ip: InvolutedPoset, require_negation=True, limit=10**9) -> MinerOutcome:

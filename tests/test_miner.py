@@ -513,6 +513,43 @@ class TestSearchTree:
             assert order_kind(shuffled_order(make())) is None
 
 
+# (structures of the full enumeration, limits tried, the least limit whose
+# search walks the whole tree): every limit up to one past the last
+# structure or, where the leaf check rejects tables, some at both ends.
+# Only stacked-antichains searches on past its last structure
+LIMIT_SWEEPS = [
+    ("chain8", lambda: chain_inv(8), True, 31, range(1, 33), 31),
+    ("kleene6-any-negation", kleene_six_involuted, False, 19, range(1, 21), 19),
+    ("kleene6-reversed-any-negation", lambda: reversed_order(kleene_six_involuted()), False, 19, range(1, 21), 19),
+    ("stacked-antichains-any-negation", stacked_antichains, False, 113, (1, 2, 3, 57, 112, 113, 114), 114),
+]
+
+
+class TestLimitSweep:
+    @pytest.mark.parametrize(
+        "make, require_negation, total, limits, whole",
+        [case[1:] for case in LIMIT_SWEEPS],
+        ids=[case[0] for case in LIMIT_SWEEPS],
+    )
+    def test_each_limit_stops_at_its_structure(self, make, require_negation, total, limits, whole):
+        full = find_residuations(make(), require_negation=require_negation, limit=ALL)
+        assert len(full.structures) == total
+        in_order = order_kind(make()) == "extension"
+        nodes = 0
+        for k in limits:
+            cut = find_residuations(make(), require_negation=require_negation, limit=k)
+            if in_order:
+                assert cut.structures == full.structures[:k]
+            else:
+                # the relisted search's first k, sorted in the input's table order
+                assert len(cut.structures) == min(k, total)
+                assert all(s in full.structures for s in cut.structures)
+            assert cut.truncated == (k <= total)
+            assert cut.stats.nodes >= nodes
+            nodes = cut.stats.nodes
+            assert (cut.stats.as_dict() == full.stats.as_dict()) is (k >= whole)
+
+
 def bounded_sum(p, inv):
     """The carrier 0 < Q < 1 of (Q, ') with 0' = 1."""
     leq = p.leq_matrix

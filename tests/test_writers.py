@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from resposet.constructions import chain_residuation
+from resposet.constructions import chain_residuation, extend_theorem1
 from resposet.files import Bundle, dump, structure_to_doc, to_doc
 from resposet.involution import involuted
 from resposet.order import chain_poset, poset_from_covers
@@ -150,6 +150,16 @@ def test_only_provenance_goes_through_json_dumps(monkeypatch, with_provenance):
     assert calls == ([(doc["provenance"],)] if with_provenance else [])
     monkeypatch.undo()
     assert text == json_dump_text(doc)
+
+
+def test_tables_with_non_string_labels_raise_type_error():
+    # the schema's labels are strings: the table rows are joined from the
+    # encoded labels with no json.dumps fallback, the label fields keep one
+    doc = to_doc(extend_theorem1(involuted(chain_poset([1, 2, 3]), {1: 3, 2: 2, 3: 1})))
+    with pytest.raises(TypeError, match="first argument must be a string, not int"):
+        dump_text(doc)
+    fields = {key: value for key, value in doc.items() if key not in ("odot", "arrow")}
+    assert dump_text(fields) == json_dump_text(fields)
 
 
 @given(structures())
