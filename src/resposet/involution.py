@@ -37,7 +37,8 @@ class Involution:
 
     @property
     def mapping(self) -> dict:
-        return dict(self.pairs)
+        """A fresh label dict, a copy of the cached _images: changing it leaves the involution as it was."""
+        return self._images.copy()
 
     def __str__(self):
         return "{" + ", ".join(f"{a}->{b}" for a, b in self.pairs) + "}"
@@ -83,9 +84,11 @@ def check_antitone_involution(p: Poset, f) -> VerificationReport:
     reports = p._involution_reports
     if f.elements == p.elements and f.image in reports:
         return reports[f.image]
-    image, n = np.array(f.image, dtype=np.int64), len(p)
-    if f.elements != p.elements or image.shape != (n,) or ((image < 0) | (image >= n)).any():
+    # the range test runs on the tuple, before any array is built
+    n = len(p)
+    if f.elements != p.elements or len(f.image) != n or (n and not 0 <= min(f.image) <= max(f.image) < n):
         raise UnknownLabel("the involution is not a map on this poset's elements")
+    image = np.array(f.image, dtype=np.int64)
     report = reports[f.image] = VerificationReport(
         (
             verdict("involutive", image[image] != np.arange(n), p.elements),

@@ -46,7 +46,7 @@ each table it rejects under its prune rule.
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress, product
+from itertools import chain, compress, product, repeat
 
 import numpy as np
 
@@ -113,12 +113,17 @@ def _leaf_check(ip: InvolutedPoset, unit, require_negation):
         ok &= _associative(tables.astype(small).reshape(t * n, n), tables + (n * np.arange(t))[:, None, None])
         missing = (arrows < 0).any(axis=(1, 2))
         mismatch = (arrows[:, :, bottom] != image).any(axis=1) if require_negation else np.zeros(t, bool)
+        # the accepted tables and their arrows, each gathered once, the tables
+        # as int64; every structure holds its rows of these, not of the stack
+        accepted = ~missing & ok & ~mismatch
+        structures = map(ResiduatedStructure, repeat(p), repeat(unit),
+                         tables[accepted].astype(np.int64), arrows[accepted])
         return [
             "residual-missing" if lost
             else "verification" if not sound
             else "negation-mismatch" if wrong
-            else ResiduatedStructure(p, unit, table.astype(np.int64), arrow.copy())
-            for lost, sound, wrong, table, arrow in zip(missing, ok, mismatch, tables, arrows)
+            else next(structures)
+            for lost, sound, wrong in zip(missing.tolist(), ok.tolist(), mismatch.tolist())
         ]
 
     return verdicts
@@ -166,16 +171,18 @@ def find_residuations(ip: InvolutedPoset, require_negation=True, limit=16) -> Mi
     n = len(given)
     if n > MAX_CARRIER:  # before any array is built
         raise CarrierTooLarge(f"miner: {n} carrier elements exceed the limit {MAX_CARRIER}")
-    # a linear extension lists no element of x's down-set after x; the stable
+    # a linear extension lists no element of x's down-set after x: row x of
+    # the order, x's up-set, has its first True on the diagonal.  The stable
     # sort by down-set size is one, as a < b gives down(a) within down(b)
-    if np.tril(given.leq_matrix, -1).any():
+    rows = given.leq_matrix.tolist()
+    if any(row.index(True) < x for x, row in enumerate(rows)):
         order = np.argsort(given.leq_matrix.sum(axis=0), kind="stable")
         ip = ip.relisted(order)
+        rows = ip.poset.leq_matrix.tolist()
     top, cells = _free_cells(ip, limit)
     p = ip.poset
     u = p.index(top)
 
-    rows = p.leq_matrix.tolist()
     down = [list(compress(range(n), column)) for column in p.leq_matrix.T.tolist()]
     inv = ip.involution.image
     zero = p.index(p.bounds()[0]) if require_negation else -1

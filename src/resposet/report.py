@@ -1,6 +1,7 @@
 """Pass/fail reports with concrete counterexample witnesses."""
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -45,7 +46,13 @@ class VerificationReport:
         return "\n".join(self.lines() + [f"overall: {verdict}"])
 
 
+@cache
 def passed(name: str) -> Check:
+    """The passing Check of the given name.
+
+    There is one per name, shared by every caller; like every Check it is
+    immutable.
+    """
     return Check(name, True)
 
 

@@ -4,12 +4,16 @@ A ResiduatedStructure stores both operation tables as dense integer
 matrices over the poset's element indices; verification is exhaustive
 over all pairs/triples, vectorized with numpy so even the soundness
 corpus stays fast.  A triple check is decided by a fast verdict where
-one applies: from GALOIS_FROM elements adjointness is the Galois test
-on covers (_galois), O(n |covers| + n^2), and once commutativity holds
-associativity is _associative, the [y, x, z] cube of (y . x) . z
-gathered as whole rows and compared with its own transpose.  Otherwise,
-and to find the first witness of a failure, the check is the [x, y, z]
-cube of _slabbed, built SLAB_CELLS cells at a time in x order.
+one applies.  Adjointness has one on every carrier: below GALOIS_FROM
+elements, where its [x, y, z] cube fits one slab, one comparison of the
+whole cube, and from there the Galois test on covers (_galois),
+O(n |covers| + n^2).  Once commutativity holds, associativity is
+_associative, the [y, x, z] cube of (y . x) . z gathered as whole rows
+and compared with its own transpose, with no slab loop when it fits one
+slab.  Otherwise, and to find the first witness of a failure, the check
+is the [x, y, z] cube of _slabbed, built SLAB_CELLS cells at a time in
+x order.  So on a small carrier the passing checks cost their arrays and
+little else, each one the shared passing Check of its name.
 _residuals derives the arrow of a table by the down-set test, which is
 adjointness itself; the miner's leaves take both it and _associative.
 """
@@ -115,11 +119,13 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
     unit-law, adjointness.  A failed check carries the first violating
     tuple in element order.
 
-    Each triple check passes on its fast verdict: from GALOIS_FROM
-    elements the Galois test on covers (_galois) for adjointness, and
-    _associative for associativity once commutativity holds.  Where
-    there is none, or it fails, _slabbed decides and finds the first
-    witness; it is the only witness search.
+    Each triple check passes on its fast verdict.  For adjointness that
+    is one comparison of the whole [x, y, z] cube below GALOIS_FROM
+    elements, where the cube fits one slab, and the Galois test on covers
+    (_galois) from there.  For associativity it is _associative once
+    commutativity holds, one gather and one comparison when the cube fits
+    one slab.  Where there is none, or it fails, _slabbed decides and
+    finds the first witness; it is the only witness search.
     """
     p = s.poset
     leq = p.leq_matrix
@@ -127,12 +133,17 @@ def verify_residuated(s: ResiduatedStructure) -> VerificationReport:
     els = p.elements
     n = len(p)
     u = p.index(s.unit)
+    # x . y <= z  vs  x <= y -> z; np.take gathers whole rows faster than
+    # fancy indexing, at 9 elements as at 998.  Below GALOIS_FROM the
+    # [x, y, z] cube fits one slab, and the fast verdict compares it whole
+    if n >= GALOIS_FROM:
+        adjoint = _galois(s)
+    else:
+        adjoint = (np.take(leq, O, axis=0) == np.take(leq, A, axis=1)).all()
     # the triple checks take xs, a slice of x rows, and give [x, y, z] cubes
-    if n >= GALOIS_FROM and _galois(s):
+    if adjoint:
         adjointness = passed("adjointness")
     else:
-        # x . y <= z  vs  x <= y -> z; np.take gathers whole rows faster
-        # than fancy indexing, at 9 elements as at 998
         adjointness = _slabbed(
             "adjointness", lambda xs: np.take(leq, O[xs], axis=0) != np.take(leq[xs], A, axis=1), els
         )
@@ -167,7 +178,11 @@ def _associative(rows, index):
     in y-slabs of SLAB_CELLS cells, and compares each with its own
     transpose: as the table is commutative, (y . z) . x is x . (y . z),
     so a cell fails exactly where (x . y) . z differs from x . (y . z).
+    A cube that fits one slab is one gather and one comparison.
     """
+    if index.shape[-2] * index.size <= SLAB_CELLS:
+        cube = np.take(rows, index, axis=0)
+        return (cube == cube.swapaxes(-1, -2)).all(axis=(-3, -2, -1))
     ok = np.True_  # one bool; a stack's first slab makes it one per table
     step = max(1, SLAB_CELLS // index.size)
     for start in range(0, index.shape[-2], step):
@@ -240,7 +255,8 @@ def _negation(s: ResiduatedStructure) -> np.ndarray:
 
 def derived_negation(s: ResiduatedStructure) -> dict:
     """The map x -> (x -> bottom); requires a least element."""
-    return {x: s.elements[k] for x, k in zip(s.elements, _negation(s))}
+    els = s.elements
+    return {x: els[k] for x, k in zip(els, _negation(s).tolist())}
 
 
 def check_lemma1(s: ResiduatedStructure) -> VerificationReport:

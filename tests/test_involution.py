@@ -1,6 +1,7 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from resposet import (
@@ -16,7 +17,7 @@ from resposet.catalog import involuted_posets_up_to_size, posets_up_to_size
 from resposet.constructions import ExtensionMode, extend_theorem1
 from resposet.errors import InvalidInvolution, UnknownLabel
 from resposet.fixtures import chain, n5, n5_involuted
-from resposet.order import poset_from_covers
+from resposet.order import Poset, poset_from_covers
 
 
 def naive_involutions(p):
@@ -96,6 +97,22 @@ class TestCheck:
     def test_image_off_the_carrier_rejected(self, elements, image):
         with pytest.raises(UnknownLabel):
             check_antitone_involution(chain(2), Involution(elements, image))
+
+    def test_empty_carrier_has_the_empty_involution(self):
+        p = Poset((), np.zeros((0, 0), dtype=bool))
+        assert check_antitone_involution(p, Involution((), ())).overall
+        with pytest.raises(UnknownLabel):
+            check_antitone_involution(p, Involution((), (0,)))
+
+    def test_mapping_is_a_fresh_copy(self):
+        inv = n5_involuted().involution
+        pairs = inv.pairs
+        mapping = inv.mapping
+        assert mapping == dict(pairs)
+        mapping["a"] = "changed"
+        mapping["extra"] = "a"
+        assert inv.pairs == pairs and inv.mapping == dict(pairs)
+        assert inv("a") == "b"
 
     def test_involuted_poset_rejects_bad_map(self):
         with pytest.raises(InvalidInvolution):

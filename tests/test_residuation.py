@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from resposet import (
     ExtensionMode,
+    InvolutedPoset,
     chain_residuation,
     check_integrality,
     check_lemma1,
@@ -15,11 +16,13 @@ from resposet import (
     extend_theorem1,
     extend_theorem2,
     extend_theorem3,
+    find_residuations,
     replay_check,
     residual_of,
     structure_from_tables,
     verify_residuated,
 )
+from resposet.catalog import involuted_posets_up_to_size
 from resposet.errors import NoBottom, UnknownLabel
 from resposet.fixtures import (
     antichain,
@@ -35,7 +38,7 @@ from resposet.fixtures import (
     pseudo_kleene_nine_involuted,
 )
 from resposet.order import poset_from_covers
-from resposet.report import VerificationReport, failed, passed, verdict
+from resposet.report import Check, VerificationReport, failed, passed, verdict
 from resposet.residuation import (
     GALOIS_FROM,
     SLAB_CELLS,
@@ -303,6 +306,48 @@ class TestVerify:
             assert report.check(name).witness == tuple(s.elements[i] for i in first)
 
 
+class TestOneSlabVerdicts:
+    """Below GALOIS_FROM both triple checks' cubes fit one slab, which each fast verdict takes whole."""
+
+    def test_every_cube_below_galois_from_fits_one_slab(self):
+        assert (GALOIS_FROM - 1) ** 3 <= SLAB_CELLS
+
+    def test_census_structures_and_their_mutations_match_the_cubes(self):
+        # each of the 82 census pairs' Theorem-1 extension, the first structure
+        # the miner finds on the pair (when bounded) and on its extension, and
+        # one mutation of each kind of each of these.  Each of x . y and y -> z
+        # determines the other, so every mutation fails adjointness
+        pairs = involuted_posets_up_to_size(5)
+        assert len(pairs) == 82
+        structures = []
+        for p, inv in pairs:
+            ip = InvolutedPoset(p, inv)
+            result = extend_theorem1(ip, verify=False)
+            searched = [InvolutedPoset(result.poset, result.involution)]
+            if None not in p.bounds():
+                searched.append(ip)
+            structures.append(result.structure)
+            for q in searched:
+                structures += find_residuations(q, limit=1).structures
+        assert len(structures) == 82 + 88
+        rng = random.Random(34)
+        kinds = ("odot-symmetric", "odot", "arrow")
+        for s in structures:
+            # a one-point structure has no other value to mutate to
+            mutants = [mutate(s, rng, kind) for kind in kinds] if len(s.elements) > 1 else []
+            for t in (s, *mutants):
+                report = verify_residuated(t)
+                assert str(report) == str(verify_residuated_cubes(t))
+                assert report.overall == (t is s)
+
+
+def test_passed_is_one_shared_check_per_name():
+    for name in ("unit-greatest", "adjointness", "no such axiom"):
+        assert passed(name) == Check(name, True)
+        assert passed(name) is passed(name)
+        assert str(passed(name)) == f"{name}: pass"
+
+
 @st.composite
 def commutative_structures(draw):
     """A chain or an antichain on 2-7 elements, a random commutative odot table and a random arrow table."""
@@ -369,6 +414,16 @@ class TestDerivedNegation:
     def test_two_element_boolean(self):
         neg = derived_negation(two_element_boolean())
         assert neg == {"0": "1", "1": "0"}
+
+    @pytest.mark.parametrize(
+        "structure",
+        [two_element_boolean, lambda: en5().structure, lambda: chain_residuation(9).structure],
+        ids=["boolean2", "en5", "cor1-9"],
+    )
+    def test_equals_the_arrow_into_bottom_per_element(self, structure):
+        s = structure()
+        bottom = s.poset.bounds()[0]
+        assert derived_negation(s) == {x: s.arrow_of(x, bottom) for x in s.elements}
 
     def test_no_bottom_raises(self):
         p = antichain(2)
