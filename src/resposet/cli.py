@@ -2,8 +2,9 @@
 
 Exit codes: 0 = success / verification passed; 1 = a verification or
 classification came out negative (report still printed); 2 = input or
-usage error; 3 = an unexpected internal error.  Each cmd_* returns (text,
-exit code) and main writes the text, once, to stdout or to --output.
+usage error (a StructureError); 3 = an unexpected internal error, such as
+an InvariantViolation.  Each cmd_* returns (text, exit code) and main
+writes the text, once, to stdout or to --output.
 With --timings, main also writes the seconds of each phase to stderr.
 """
 

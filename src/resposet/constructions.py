@@ -14,7 +14,11 @@ Both tables then follow from one of two rules, as index arrays:
 - lattice (Lemma 2, Theorem 5):
   x . y = 0 if x <= y' else x ^ y;  x -> y = 1 if x <= y else x' v y.
 
-Each result is verified exhaustively before it is returned.
+Each result is checked before it is returned: its carrier map is an
+antitone involution and, unless verify=False, its tables pass
+verify_residuated exhaustively and derive that involution as negation.
+The paper proves all three, so a failure raises InvariantViolation, a
+package fault.
 """
 
 import enum
@@ -23,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import BooleanAlgebra
-from .errors import CarrierTooLarge, ConstructionFailed, ModeUnsatisfiable, NTooSmall, ReservedLabel
-from .involution import Involution, InvolutedPoset, involuted
+from .errors import CarrierTooLarge, InvariantViolation, ModeUnsatisfiable, NTooSmall, ReservedLabel
+from .involution import Involution, InvolutedPoset, check_antitone_involution
 from .order import Poset, _isomorphisms
 from .residuation import ResiduatedStructure, _negation, verify_residuated
 
@@ -126,14 +130,16 @@ def _lattice_tables(q: Poset, inv):
 
 def _extension(construction, q, inv, tables, embedding, parameters, verify):
     involution = Involution(q.elements, tuple(inv.tolist()))
-    involuted(q, involution)  # the carrier map must still be an antitone involution
+    report = check_antitone_involution(q, involution)
+    if not report.overall:
+        raise InvariantViolation(f"the carrier map is not an antitone involution: {report.failed()[0]}")
     structure = ResiduatedStructure(q, q.bounds()[1], *tables)
     if verify:
         report = verify_residuated(structure)
         if not report.overall:
-            raise ConstructionFailed(f"verification failed:\n{report}")
+            raise InvariantViolation(f"verification failed:\n{report}")
         if not np.array_equal(_negation(structure), inv):
-            raise ConstructionFailed("derived negation differs from the involution")
+            raise InvariantViolation("derived negation differs from the involution")
     provenance = {"construction": construction, "parameters": parameters}
     return ExtensionResult(structure, involution, embedding, provenance)
 

@@ -2,7 +2,7 @@
 
 
 class StructureError(Exception):
-    """Base class for all structural/validation errors raised by this package."""
+    """Base class of every error an input can cause: bad labels, orders, maps, parameters or documents."""
 
 
 class UnknownLabel(StructureError):
@@ -57,13 +57,6 @@ class CarrierTooLarge(StructureError):
     """A carrier would exceed constructions.MAX_CARRIER or miner.MAX_CARRIER elements."""
 
 
-class ConstructionFailed(StructureError):
-    """A construction produced a structure that fails its own verification.
-
-    This indicates a bug, not bad input; it should never be observable.
-    """
-
-
 class MalformedDocument(StructureError):
     pass
 
@@ -74,5 +67,9 @@ class SchemaViolation(StructureError):
         self.path = path
 
 
-class InvariantViolation(StructureError):
-    pass
+class InvariantViolation(Exception):
+    """A package fault, never bad input, and so never a StructureError.
+
+    Raised when the package's own result breaks a proven invariant, such as
+    a construction that fails its own verification.
+    """

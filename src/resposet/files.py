@@ -220,7 +220,7 @@ def to_doc(bundle) -> dict:
     doc = {"elements": list(p.elements), "covers": [[x, y] for x, y in p.covers()]}
     inv = bundle.involution
     if inv is not None:
-        doc["involution"] = dict(zip(inv.elements, map(inv.elements.__getitem__, inv.image)))
+        doc["involution"] = inv.mapping
     s = bundle.structure
     if s is not None:
         doc.update(unit=s.unit, odot=s.table_as_labels("odot"), arrow=s.table_as_labels("arrow"))

@@ -132,23 +132,9 @@ def letter_cube_boolean():
     Atoms a, b, c; coatoms a' = b v c, b' = a v c, c' = a v b; bounds p, q.
     Element order matches the example's table order.
     """
-    p = poset_from_covers(
-        ["p", "a", "b", "c", "a'", "b'", "c'", "q"],
-        [
-            ("p", "a"),
-            ("p", "b"),
-            ("p", "c"),
-            ("a", "b'"),
-            ("a", "c'"),
-            ("b", "a'"),
-            ("b", "c'"),
-            ("c", "a'"),
-            ("c", "b'"),
-            ("a'", "q"),
-            ("b'", "q"),
-            ("c'", "q"),
-        ],
-    )
+    # powerset_lattice(3) lists p, a, b, c, a+b, a+c, b+c, q: relisted, b+c is a' and a+b is c'
+    cube = powerset_lattice(3).relisted([0, 1, 2, 3, 6, 5, 4, 7])
+    p = Poset(("p", "a", "b", "c", "a'", "b'", "c'", "q"), cube.leq_matrix)
     B = recognize_boolean(p)
     if B is None:
         raise InvariantViolation("the letter cube is not a Boolean algebra")

@@ -317,6 +317,18 @@ class TestTheorem3:
 
 
 class TestBooleanResiduation:
+    def test_letter_cube_is_the_worked_example(self):
+        # the worked example's Hasse diagram, the reference for builtin:cube8
+        covers = [
+            ("p", "a"), ("p", "b"), ("p", "c"),
+            ("a", "b'"), ("a", "c'"), ("b", "a'"), ("b", "c'"), ("c", "a'"), ("c", "b'"),
+            ("a'", "q"), ("b'", "q"), ("c'", "q"),
+        ]
+        B = letter_cube_boolean()
+        assert B.lattice == poset_from_covers(["p", "a", "b", "c", "a'", "b'", "c'", "q"], covers)
+        assert B.complement.mapping == {"p": "q", "a": "a'", "b": "b'", "c": "c'",
+                                        "a'": "a", "b'": "b", "c'": "c", "q": "p"}
+
     def test_cube_arrow_values(self):
         B = letter_cube_boolean()
         s = boolean_residuation(B)

@@ -12,11 +12,12 @@ from resposet import (
     chain_residuation,
     extend_theorem1,
 )
-from resposet import involution
+from resposet import constructions, involution
 from resposet.cli import main
 from resposet.constructions import MAX_CARRIER
 from resposet.errors import (
     InvalidInvolution,
+    InvariantViolation,
     MalformedDocument,
     ReservedLabel,
     SchemaViolation,
@@ -31,6 +32,7 @@ from resposet.files import (
     to_doc,
 )
 from resposet.fixtures import BUILTINS, n5, n5_involuted
+from resposet.report import VerificationReport, failed
 from resposet.residuation import ResiduatedStructure
 
 N5_DOC = {
@@ -45,6 +47,14 @@ def roundtrip(doc, **kw):
     dump(doc, buf)
     buf.seek(0)
     return load_structure(buf, **kw)
+
+
+def identity_image(carrier):
+    """carrier with the identity as its map, which is not antitone on a chain of two or more."""
+    def identity_carrier(*args):
+        q, _ = carrier(*args)
+        return q, np.arange(len(q))
+    return identity_carrier
 
 
 class TestSchema:
@@ -688,6 +698,38 @@ class TestCli:
         monkeypatch.setattr("resposet.cli.enumerate_antitone_involutions", broken)
         assert main(["involutions", "-i", "builtin:n5"]) == 3
         assert capsys.readouterr().err == "error: internal error (RuntimeError): boom\n"
+
+    @pytest.mark.parametrize(
+        "name, fault, message",
+        [
+            (
+                "verify_residuated",
+                lambda real: lambda s: VerificationReport((failed("associativity", ("#c2",) * 3),)),
+                "verification failed:\\nassociativity: FAIL witness=('#c2', '#c2', '#c2')\\noverall: FAIL",
+            ),
+            (
+                "_negation",
+                lambda real: lambda s: np.zeros_like(real(s)),
+                "derived negation differs from the involution",
+            ),
+            (
+                "_carrier",
+                identity_image,
+                "the carrier map is not an antitone involution: antitone: FAIL witness=('#c1', '#c2')",
+            ),
+        ],
+        ids=["verification", "negation", "carrier"],
+    )
+    def test_construction_fault_exits_three(self, monkeypatch, capsys, name, fault, message):
+        # the paper's constructions always verify, so a failed self-check
+        # is a package fault, reported as an internal error and never as bad input
+        real = getattr(constructions, name)
+        monkeypatch.setattr(constructions, name, fault(real))
+        assert main(["extend", "cor1", "--n", "5"]) == 3
+        assert capsys.readouterr().err == f"error: internal error (InvariantViolation): {message}\n"
+
+    def test_invariant_violation_is_not_an_input_error(self):
+        assert not issubclass(InvariantViolation, StructureError)
 
     def test_classify_scans_distributivity_once(self, monkeypatch, capsys):
         # is_distributive is asked four times: by the builtin factory's
